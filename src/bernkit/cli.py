@@ -35,9 +35,23 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _params_json(params: dict) -> dict:
-    return {k: (v if isinstance(v, int) else rat_str(v))
-            for k, v in params.items()}
+def _too_small(args, **least) -> bool:
+    """Report the first numeric option below its least value."""
+    for name, lo in least.items():
+        if getattr(args, name) < lo:
+            print(f"--{name.replace('_', '-')} must be >= {lo}", file=sys.stderr)
+            return True
+    return False
+
+
+def _json_value(v):
+    """One failure-record value: a residue as {value, modulus}, an int or
+    str parameter as is, anything else as a rational string."""
+    if isinstance(v, congr.Residue):
+        return {"value": v.value, "modulus": v.modulus}
+    if isinstance(v, (int, str)):
+        return v
+    return rat_str(v)
 
 
 def _emit(payload: dict, args) -> None:
@@ -112,10 +126,9 @@ def _cmd_compute(args) -> int:
     if name not in SEQUENCES:
         print(f"unknown sequence {name!r}", file=sys.stderr)
         return 2
-    n_max = args.n_max
-    if n_max < 0:
-        print("--n-max must be >= 0", file=sys.stderr)
+    if _too_small(args, n_max=0, p=1):
         return 2
+    n_max = args.n_max
     payload: dict = {"sequence": name}
     if name in ("stirling1", "stirling2"):
         fn = seqcore.stirling1 if name == "stirling1" else seqcore.stirling2
@@ -149,6 +162,22 @@ def _bounds_from(args) -> identities.SweepBounds:
         include_j_equals_n=args.include_j_equals_n)
 
 
+def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
+    """Write the sweep reports as one; an empty domain writes nothing and
+    is a usage error, since it verifies nothing."""
+    cases = sum(rep.cases for rep in reports)
+    if not cases:
+        print(f"{suite}: no cases in the requested domain", file=sys.stderr)
+        return 2
+    failures = [{"id": f["id"],
+                 "params": {k: _json_value(v) for k, v in f["params"].items()},
+                 "lhs": _json_value(f["lhs"]), "rhs": _json_value(f["rhs"])}
+                for rep in reports for f in rep.failures]
+    _emit({"suite": suite, "cases": cases, "failures": failures,
+           "notes": notes}, args)
+    return 1 if failures else 0
+
+
 def _cmd_verify(args) -> int:
     ids = list(identities.IDENTITY_IDS) if args.identity == "all" \
         else [args.identity]
@@ -156,25 +185,9 @@ def _cmd_verify(args) -> int:
         if id not in identities.CATALOG:
             print(f"unknown identity {id!r}", file=sys.stderr)
             return 2
-    bounds = _bounds_from(args)
-    reports = identities.verify_all(bounds, ids)
-    failures = []
-    notes = []
-    cases = 0
-    for rep in reports:
-        cases += rep.cases
-        notes.extend(f"{rep.id}: {note}" for note in rep.notes)
-        for f in rep.failures:
-            failures.append({
-                "id": rep.id,
-                "params": _params_json(f["params"]),
-                "lhs": rat_str(f["lhs"]),
-                "rhs": rat_str(f["rhs"]),
-            })
-    payload = {"suite": "identities", "cases": cases,
-               "failures": failures, "notes": notes}
-    _emit(payload, args)
-    return 1 if failures else 0
+    reports = identities.verify_all(_bounds_from(args), ids)
+    notes = [f"{rep.id}: {note}" for rep in reports for note in rep.notes]
+    return _emit_sweep("identities", reports, notes, args)
 
 
 def _cmd_congruence(args) -> int:
@@ -184,29 +197,17 @@ def _cmd_congruence(args) -> int:
         if id not in congr.CONGRUENCE_IDS:
             print(f"unknown congruence {id!r}", file=sys.stderr)
             return 2
-    if args.p_max < 3:
-        print("--p-max must be >= 3", file=sys.stderr)
+    if _too_small(args, p_max=3):
         return 2
     report = congr.prime_sweep(ids, args.p_max)
-    failures = [{
-        "id": res.id,
-        "params": {"p": res.p, "case": res.label},
-        "lhs": {"value": res.lhs.value, "modulus": res.lhs.modulus},
-        "rhs": {"value": res.rhs.value, "modulus": res.rhs.modulus},
-    } for res in report.failures]
-    notes = [f"skipped: {s}" for s in report.skipped] + report.notes
-    payload = {"suite": "congruence", "cases": report.cases,
-               "failures": failures, "notes": notes}
-    _emit(payload, args)
-    return 1 if failures else 0
+    return _emit_sweep("congruence", [report], report.notes, args)
 
 
 def _cmd_series(args) -> int:
     if args.series not in fps.SERIES_NAMES:
         print(f"unknown series {args.series!r}", file=sys.stderr)
         return 2
-    if args.order < 1:
-        print("--order must be >= 1", file=sys.stderr)
+    if _too_small(args, order=1, k=0, p=1):
         return 2
     series = fps.named_series(args.series, args.order, k=args.k, p=args.p,
                               x=args.x)

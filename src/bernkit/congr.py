@@ -8,10 +8,12 @@ in aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .classical import bernoulli, cauchy1, euler_number
+from .identities import Report
 from .seqcore import factorial, harmonic, stirling2
 
 
@@ -56,74 +58,74 @@ class CongruenceResult:
     passed: bool
 
 
-CONGRUENCE_IDS = (
-    "C1", "C2", "C3", "C4", "C1SQ", "C3SQ",
-    "GLAISHER", "BABBAGE", "VSC", "CP1", "STIRP",
-)
+@dataclass(frozen=True)
+class CongruenceEntry:
+    """One catalog entry: its statements at an odd prime p, each an
+    (lhs, rhs, modulus, label) tuple, and the least p they hold for."""
+    statements: Callable[[int], list[tuple]]
+    min_p: int = 3
 
-_MIN_P = {"C4": 5}
+
+def _c1_sum(p: int) -> Fraction:
+    return sum((p * bernoulli(j) for j in range(p + 1)), Fraction(0))
 
 
-def _single(id: str, p: int, lhs, rhs, modulus: int, label: str = "") -> CongruenceResult:
-    lr = rational_mod(lhs, modulus, p)
-    rr = rational_mod(rhs, modulus, p)
-    return CongruenceResult(id, p, label, lr, rr, lr == rr)
+def _c3_sum(p: int) -> Fraction:
+    return p * sum((bernoulli(j) / (p - j + 1) for j in range(p + 1)), Fraction(0))
+
+
+def _c1sq(p: int) -> list[tuple]:
+    s = _c1_sum(p)
+    # consistency chain: the mod-p^2 statement implies C1
+    return [(s, factorial(p - 1), p * p, ""), (s, -1, p, "implies C1")]
+
+
+def _vsc(p: int) -> list[tuple]:
+    return [(p * bernoulli(2 * j), -1 if (2 * j) % (p - 1) == 0 else 0, p,
+             f"j={j}") for j in range(1, p + 1)]
+
+
+CATALOG: dict[str, CongruenceEntry] = {
+    "C1": CongruenceEntry(lambda p: [(_c1_sum(p), -1, p, "")]),
+    "C2": CongruenceEntry(lambda p: [(
+        sum((euler_number(j) for j in range(p + 1)), Fraction(0)),
+        Fraction(3, 2), p, "")]),
+    "C3": CongruenceEntry(lambda p: [(_c3_sum(p), -1, p, "")]),
+    "C4": CongruenceEntry(lambda p: [(
+        sum((bernoulli(j) for j in range(p - 2)), Fraction(0)), -1, p, "")],
+        min_p=5),
+    "C1SQ": CongruenceEntry(_c1sq),
+    "C3SQ": CongruenceEntry(lambda p: [(
+        _c3_sum(p), Fraction(-p, 2) - cauchy1(p), p * p, "")]),
+    "GLAISHER": CongruenceEntry(lambda p: [(
+        factorial(p - 1), -p + p * bernoulli(p - 1), p * p, "")]),
+    "BABBAGE": CongruenceEntry(lambda p: [(harmonic(p - 1), 0, p, "")]),
+    "VSC": CongruenceEntry(_vsc),
+    "CP1": CongruenceEntry(lambda p: [(cauchy1(p), 1, p, "c_p"),
+                                      (p * cauchy1(p - 1), 1, p, "p*c_(p-1)")]),
+    "STIRP": CongruenceEntry(lambda p: [(stirling2(p, k), 0, p, f"k={k}")
+                                        for k in range(2, p)]),
+}
+
+CONGRUENCE_IDS = tuple(CATALOG)
 
 
 def check_congruence(id: str, p: int) -> list[CongruenceResult]:
     """Evaluate one catalog entry at an odd prime; multi-statement entries
-    (VSC, CP1, STIRP) yield one result per sub-case."""
-    if p < 3 or not _is_prime(p):
+    (C1SQ, VSC, CP1, STIRP) yield one result per statement."""
+    if id not in CATALOG:
+        raise KeyError(f"unknown congruence id {id!r}")
+    entry = CATALOG[id]
+    if p < 3 or odd_primes_upto(p)[-1] != p:
         raise ValueError("p must be an odd prime")
-    if p < _MIN_P.get(id, 3):
-        raise ValueError(f"{id} requires p >= {_MIN_P[id]}")
-
-    if id == "C1":
-        s = sum((p * bernoulli(j) for j in range(p + 1)), Fraction(0))
-        return [_single(id, p, s, -1, p)]
-    if id == "C4":
-        s = sum((bernoulli(j) for j in range(p - 2)), Fraction(0))
-        return [_single(id, p, s, -1, p)]
-    if id == "C2":
-        s = sum((euler_number(j) for j in range(p + 1)), Fraction(0))
-        return [_single(id, p, s, Fraction(3, 2), p)]
-    if id == "C3":
-        s = p * sum((bernoulli(j) / (p - j + 1) for j in range(p + 1)), Fraction(0))
-        return [_single(id, p, s, -1, p)]
-    if id == "C3SQ":
-        s = p * sum((bernoulli(j) / (p - j + 1) for j in range(p + 1)), Fraction(0))
-        return [_single(id, p, s, Fraction(-p, 2) - cauchy1(p), p * p)]
-    if id == "C1SQ":
-        s = sum((p * bernoulli(j) for j in range(p + 1)), Fraction(0))
-        return [_single(id, p, s, factorial(p - 1), p * p)]
-    if id == "GLAISHER":
-        return [_single(id, p, factorial(p - 1), -p + p * bernoulli(p - 1), p * p)]
-    if id == "BABBAGE":
-        return [_single(id, p, harmonic(p - 1), 0, p)]
-    if id == "VSC":
-        out = []
-        for j in range(1, p + 1):
-            rhs = -1 if (2 * j) % (p - 1) == 0 else 0
-            out.append(_single(id, p, p * bernoulli(2 * j), rhs, p, label=f"j={j}"))
-        return out
-    if id == "CP1":
-        return [
-            _single(id, p, cauchy1(p), 1, p, label="c_p"),
-            _single(id, p, p * cauchy1(p - 1), 1, p, label="p*c_(p-1)"),
-        ]
-    if id == "STIRP":
-        return [_single(id, p, stirling2(p, k), 0, p, label=f"k={k}")
-                for k in range(2, p)]
-    raise KeyError(f"unknown congruence id {id!r}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
+    if p < entry.min_p:
+        raise ValueError(f"{id} requires p >= {entry.min_p}")
+    results = []
+    for lhs, rhs, modulus, label in entry.statements(p):
+        lr = rational_mod(lhs, modulus, p)
+        rr = rational_mod(rhs, modulus, p)
+        results.append(CongruenceResult(id, p, label, lr, rr, lr == rr))
+    return results
 
 
 def odd_primes_upto(p_max: int) -> list[int]:
@@ -137,41 +139,32 @@ def odd_primes_upto(p_max: int) -> list[int]:
     return [i for i in range(3, p_max + 1) if sieve[i]]
 
 
-@dataclass
-class SweepReport:
-    suite: str
-    cases: int = 0
-    failures: list[CongruenceResult] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> SweepReport:
-    """Run each catalog entry over all odd primes up to p_max; collects all
-    failures and also checks that C1SQ reduced mod p reproduces C1."""
-    report = SweepReport(suite="congruence")
+def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> Report:
+    """Run each catalog entry over all odd primes up to p_max, collecting
+    every failure. An entry that raises at a prime counts as one failed
+    case, with a note naming the exception."""
+    report = Report("congruence")
+    primes = odd_primes_upto(p_max)
     for id in ids:
-        if id not in CONGRUENCE_IDS:
+        if id not in CATALOG:
             raise KeyError(f"unknown congruence id {id!r}")
-        for p in odd_primes_upto(p_max):
-            if p < _MIN_P.get(id, 3):
-                report.skipped.append(f"{id} at p={p}: requires p >= {_MIN_P[id]}")
+        min_p = CATALOG[id].min_p
+        for p in primes:
+            if p < min_p:
+                report.notes.append(f"skipped: {id} at p={p}: requires p >= {min_p}")
                 continue
-            for res in check_congruence(id, p):
+            try:
+                results = check_congruence(id, p)
+            except Exception as exc:  # one broken case must not end the sweep
+                report.cases += 1
+                report.notes.append(f"{id} at p={p}: {type(exc).__name__}: {exc}")
+                report.failures.append({"id": id, "params": {"p": p, "case": ""},
+                                        "lhs": None, "rhs": None})
+                continue
+            for res in results:
                 report.cases += 1
                 if not res.passed:
-                    report.failures.append(res)
-            if id == "C1SQ":
-                # consistency chain: the mod-p^2 statement implies C1
-                s = sum((p * bernoulli(j) for j in range(p + 1)), Fraction(0))
-                implied = rational_mod(s, p, p)
-                direct = rational_mod(-1, p, p)
-                report.cases += 1
-                if implied != direct:
-                    report.failures.append(CongruenceResult(
-                        "C1SQ->C1", p, "implication", implied, direct, False))
+                    report.failures.append(
+                        {"id": id, "params": {"p": p, "case": res.label},
+                         "lhs": res.lhs, "rhs": res.rhs})
     return report

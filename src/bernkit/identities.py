@@ -2,9 +2,11 @@
 
 Each catalog entry carries an explicit case generator (the domain predicate
 made concrete), a left side computed by direct summation over the base
-sequences, and a right side computed through the cached closed forms. The
-two sides share only seqcore primitives, so a transcription slip on either
-side surfaces as a sweep failure.
+sequences, and a right side computed through the cached closed forms, so a
+transcription slip on either side surfaces as a sweep failure. Most entries'
+sides share only seqcore primitives. The exceptions are CUMSUM and EQ14,
+which call `bernoulli` on both sides, and REDUCTION, which calls `_calB` on
+both sides: an error in those shared routes cancels there.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ class IdentityCase:
 
 
 @dataclass
-class IdentityReport:
+class Report:
+    """Outcome of a sweep. Each failure is a dict {"id", "params", "lhs",
+    "rhs"} holding raw values: a Fraction, a Residue, or None where a side
+    could not be evaluated."""
     id: str
-    domain: str
     cases: int = 0
     failures: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -336,6 +340,21 @@ def _hw_cauchy_rhs(p: Params) -> Fraction:
         Fraction(0))
 
 
+def _convention_note(bounds: SweepBounds) -> str:
+    """Brute-force finding for Eq-(4)-style identity on the n-j=1 line."""
+    plus, minus, total = 0, 0, 0
+    for n in range(2, min(bounds.n_max, 30) + 1):
+        lhs = _gen_worpitzky_lhs({"n": n, "j": n - 1})
+        total += 1
+        if lhs == binom_int(n - 1, n - 1) * Fraction(1, 2):
+            plus += 1
+        if lhs == binom_int(n - 1, n - 1) * Fraction(-1, 2):
+            minus += 1
+    return (f"n-j=1 subdomain, direct summation for n<=30: B_1=+1/2 closes the "
+            f"identity in {plus}/{total} cases, B_1=-1/2 in {minus}/{total}; "
+            f"the +1/2 convention is required on this line")
+
+
 # --- case generators --------------------------------------------------------
 
 def _cases_n(lo: int):
@@ -405,21 +424,22 @@ class IdentityEntry:
     cases: Callable[[SweepBounds], Iterable[Params]]
     lhs: Callable[[Params], Fraction]
     rhs: Callable[[Params], Fraction]
-    note: str | None = None
+    note: Callable[[SweepBounds], str] | None = None
 
 
 CATALOG: dict[str, IdentityEntry] = {
     "MAIN": IdentityEntry(
         "1 <= n <= n_max, 0 <= j <= n-1",
         _cases_main, _main_lhs, _main_rhs,
-        note="j=n excluded: RHS (binom(n,n)-1)*B_0/0 is indeterminate; "
-             "LHS there equals H_n"),
+        note=lambda b: "j=n excluded: RHS (binom(n,n)-1)*B_0/0 is "
+                       "indeterminate; LHS there equals H_n"),
     "WORPITZKY": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1), _worpitzky_lhs,
         lambda p: bernoulli(p["n"])),
     "GEN_WORPITZKY": IdentityEntry(
         "3 <= n <= n_max, 1 <= j <= n-2",
-        _cases_gen_worpitzky, _gen_worpitzky_lhs, _gen_worpitzky_rhs),
+        _cases_gen_worpitzky, _gen_worpitzky_lhs, _gen_worpitzky_rhs,
+        note=_convention_note),
     "H1": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2), _h1_lhs,
         lambda p: bernoulli(p["n"] - 1)),
@@ -484,47 +504,32 @@ def _param_key(params: Params):
     return tuple(sorted(params.items()))
 
 
-def _convention_note(bounds: SweepBounds) -> str:
-    """Brute-force finding for Eq-(4)-style identity on the n-j=1 line."""
-    plus, minus, total = 0, 0, 0
-    for n in range(2, min(bounds.n_max, 30) + 1):
-        lhs = _gen_worpitzky_lhs({"n": n, "j": n - 1})
-        total += 1
-        if lhs == binom_int(n - 1, n - 1) * Fraction(1, 2):
-            plus += 1
-        if lhs == binom_int(n - 1, n - 1) * Fraction(-1, 2):
-            minus += 1
-    return (f"n-j=1 subdomain, direct summation for n<=30: B_1=+1/2 closes the "
-            f"identity in {plus}/{total} cases, B_1=-1/2 in {minus}/{total}; "
-            f"the +1/2 convention is required on this line")
-
-
-def verify_identity(id: str, bounds: SweepBounds | None = None) -> IdentityReport:
-    """Sweep the full declared domain, collecting every failure."""
+def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
+    """Sweep the full declared domain, collecting every failure. A case that
+    raises counts as a failure, with a note naming the exception."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     bounds = bounds or SweepBounds()
     entry = CATALOG[id]
-    report = IdentityReport(id=id, domain=entry.domain)
+    report = Report(id)
     if entry.note:
-        report.notes.append(entry.note)
-    cases = sorted(entry.cases(bounds), key=_param_key)
-    for params in cases:
+        report.notes.append(entry.note(bounds))
+    for params in sorted(entry.cases(bounds), key=_param_key):
         report.cases += 1
+        lhs = rhs = None
         try:
-            lhs, rhs = entry.lhs(params), entry.rhs(params)
+            lhs = entry.lhs(params)
+            rhs = entry.rhs(params)
         except IndeterminateRHS as exc:
-            report.failures.append(
-                {"params": params, "lhs": entry.lhs(params), "rhs": None})
             report.notes.append(f"{params}: {exc}")
-            continue
-        if lhs != rhs:
-            report.failures.append({"params": params, "lhs": lhs, "rhs": rhs})
-    if id == "GEN_WORPITZKY":
-        report.notes.append(_convention_note(bounds))
+        except Exception as exc:  # one broken case must not end the sweep
+            report.notes.append(f"{params}: {type(exc).__name__}: {exc}")
+        if rhs is None or lhs != rhs:
+            report.failures.append(
+                {"id": id, "params": params, "lhs": lhs, "rhs": rhs})
     return report
 
 
 def verify_all(bounds: SweepBounds | None = None,
-               ids: Iterable[str] = IDENTITY_IDS) -> list[IdentityReport]:
+               ids: Iterable[str] = IDENTITY_IDS) -> list[Report]:
     return [verify_identity(id, bounds) for id in ids]

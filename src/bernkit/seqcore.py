@@ -69,7 +69,7 @@ class HarmonicCache:
 
     def __init__(self) -> None:
         self._h: list[Fraction] = [Fraction(0)]
-        self._hm: dict[tuple[int, int], Fraction] = {}
+        self._hm: dict[int, list[Fraction]] = {}  # m -> [H_0^(m), H_1^(m), ...]
 
     def harmonic(self, n: int) -> Fraction:
         if n < 0:
@@ -84,13 +84,11 @@ class HarmonicCache:
             raise ValueError("harmonic_gen requires n >= 0 and m >= 1")
         if m == 1:
             return self.harmonic(n)
-        key = (n, m)
-        if key not in self._hm:
-            if n == 0:
-                self._hm[key] = Fraction(0)
-            else:
-                self._hm[key] = self.harmonic_gen(n - 1, m) + Fraction(1, n**m)
-        return self._hm[key]
+        h = self._hm.setdefault(m, [Fraction(0)])
+        while len(h) <= n:
+            i = len(h)
+            h.append(h[-1] + Fraction(1, i**m))
+        return h[n]
 
 
 _TABLES = StirlingTables()

@@ -157,6 +157,31 @@ class TestCongruence:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "poly_bernoulli", "--p", "0"),
+    ("series", "stirling2-egf", "--k", "-1"),
+    ("series", "polybern", "--p", "-1"),
+    ("series", "polybern", "--p", "0"),
+])
+def test_out_of_range_option_exits_2(capsys, argv):
+    code = cli.main([*argv, "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "must be >=" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "MAIN", "--n-max", "-5"),
+    ("verify", "MAIN", "--n-max", "10", "--j-min", "50"),
+    ("congruence", "C4", "--p-max", "3"),
+])
+def test_empty_domain_exits_2(capsys, argv):
+    code = cli.main([*argv, "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "no cases" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bernkit import congr
 from bernkit.congr import (DenominatorDivisibleByP, Residue, check_congruence,
                            odd_primes_upto, prime_sweep, rational_mod)
 from bernkit.seqcore import harmonic
@@ -101,10 +102,30 @@ def test_sweep_small():
     report = prime_sweep(p_max=31)
     assert report.passed
     assert report.cases > 0
-    assert any("C4 at p=3" in s for s in report.skipped)
+    assert "skipped: C4 at p=3: requires p >= 5" in report.notes
 
 
 def test_sweep_deterministic():
     a = prime_sweep(("C1", "BABBAGE"), 23)
     b = prime_sweep(("C1", "BABBAGE"), 23)
-    assert (a.cases, a.failures, a.skipped) == (b.cases, b.failures, b.skipped)
+    assert (a.cases, a.failures, a.notes) == (b.cases, b.failures, b.notes)
+
+
+def test_sweep_records_raising_case_and_continues(monkeypatch):
+    # H_(p-1) + 1/p has p in its denominator, so BABBAGE cannot be reduced
+    monkeypatch.setattr(congr, "harmonic", lambda n: harmonic(n) + Fraction(1, n + 1))
+    report = prime_sweep(("BABBAGE", "C1"), 13)
+    assert report.cases == 10
+    assert report.failures == [
+        {"id": "BABBAGE", "params": {"p": p, "case": ""}, "lhs": None, "rhs": None}
+        for p in (3, 5, 7, 11, 13)]
+    assert len(report.notes) == 5
+    assert all("DenominatorDivisibleByP" in note for note in report.notes)
+
+
+def test_c1sq_implies_c1():
+    results = check_congruence("C1SQ", 7)
+    assert [res.rhs.modulus for res in results] == [49, 7]
+    assert results[1].label == "implies C1"
+    assert results[1].lhs == check_congruence("C1", 7)[0].lhs
+    assert all(res.passed for res in results)

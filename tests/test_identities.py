@@ -83,6 +83,23 @@ class TestSweeps:
         report = verify_identity("H1", SweepBounds(n_max=10))
         assert len(report.failures) == report.cases == 9
 
+    def test_raising_case_is_recorded_and_sweep_continues(self, monkeypatch):
+        entry = CATALOG["H1"]
+
+        def rhs(p):
+            if p["n"] == 5:
+                raise ZeroDivisionError("probe")
+            return entry.rhs(p)
+
+        monkeypatch.setitem(
+            CATALOG, "H1",
+            type(entry)(entry.domain, entry.cases, entry.lhs, rhs))
+        report = verify_identity("H1", SweepBounds(n_max=10))
+        assert report.cases == 9
+        assert report.failures == [{"id": "H1", "params": {"n": 5},
+                                    "lhs": entry.lhs({"n": 5}), "rhs": None}]
+        assert report.notes == ["{'n': 5}: ZeroDivisionError: probe"]
+
     def test_verify_all_covers_catalog(self):
         reports = verify_all(SweepBounds(n_max=8, m_max=4, rand_count=2))
         assert [r.id for r in reports] == list(IDENTITY_IDS)
