@@ -74,17 +74,47 @@ class Poly:
 
 
 _BERN: list[Fraction] = [Fraction(1)]
+_EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
 _EULER_POLYS: list[Poly] = [Poly([1])]
 
 
+def _tangent_numbers(k_max: int) -> list[int]:
+    """[0, T_1, ..., T_k_max] for k_max >= 1: the tangent numbers
+    (1, 2, 16, 272, ...), by the in-place integer recurrence of Brent &
+    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers"
+    (arXiv:1108.0286), Algorithm TangentNumbers: O(k_max^2) integer
+    operations, no division."""
+    t = [0] * (k_max + 1)
+    t[1] = 1
+    for k in range(2, k_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 def bernoulli(n: int) -> Fraction:
-    """B_n via the defining recurrence sum_j C(n+1,j) B_j = 0; B_1 = -1/2."""
+    """B_n with B_1 = -1/2, from Brent & Harvey's integer tangent numbers:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0 at odd n > 1.
+
+    The tangent recurrence is not incremental, so a request past the cache
+    rebuilds it to index max(n, 2 * len); callers that ask in ascending
+    order pay amortised O(N^2) integer operations for B_0..B_N."""
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
-    while len(_BERN) <= n:
-        m = len(_BERN)
-        s = sum(binom_int(m + 1, j) * _BERN[j] for j in range(m))
-        _BERN.append(-s / (m + 1))
+    if n >= len(_BERN):
+        top = max(n, 2 * len(_BERN))
+        t = _tangent_numbers(top // 2)
+        for m in range(len(_BERN), top + 1):
+            if m == 1:
+                _BERN.append(Fraction(-1, 2))
+            elif m % 2:
+                _BERN.append(Fraction(0))
+            else:
+                k, four_k = m // 2, 1 << m
+                _BERN.append(Fraction((-1) ** (k - 1) * m * t[k],
+                                      four_k * (four_k - 1)))
     return _BERN[n]
 
 
@@ -128,8 +158,21 @@ def euler_poly(n: int) -> Poly:
 
 
 def euler_number(n: int) -> Fraction:
-    """E_n = E_n(0)."""
-    return euler_poly(n)(0)
+    """E_n = E_n(0), from the integers e_n = 2^n E_n(0): e_0 = 1 and
+    e_n = -sum_{j<n} C(n,j) 2^(n-1-j) e_j, which is the x = 0 value of the
+    Euler polynomial recurrence scaled by 2^n. O(n) integer operations per
+    new n, independent of euler_poly."""
+    if n < 0:
+        raise ValueError("euler_number requires n >= 0")
+    while len(_EULER2) <= n:
+        m = len(_EULER2)
+        s, c = 0, 1  # c = C(m, j)
+        for j, e in enumerate(_EULER2):
+            if e:
+                s += (c * e) << (m - 1 - j)
+            c = c * (m - j) // (j + 1)
+        _EULER2.append(-s)
+    return Fraction(_EULER2[n], 1 << n)
 
 
 def euler_at_one(n: int) -> Fraction:

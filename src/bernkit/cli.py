@@ -163,12 +163,16 @@ def _bounds_from(args) -> identities.SweepBounds:
 
 
 def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
-    """Write the sweep reports as one; an empty domain writes nothing and
-    is a usage error, since it verifies nothing."""
-    cases = sum(rep.cases for rep in reports)
-    if not cases:
-        print(f"{suite}: no cases in the requested domain", file=sys.stderr)
+    """Write the sweep reports as one. A report with an empty domain
+    verifies nothing, so it writes nothing and is a usage error, even
+    beside reports that did run cases."""
+    empty = [rep.id for rep in reports if not rep.cases]
+    if empty:
+        which = "" if len(empty) == len(reports) else f" for {', '.join(empty)}"
+        print(f"{suite}: no cases{which} in the requested domain",
+              file=sys.stderr)
         return 2
+    cases = sum(rep.cases for rep in reports)
     failures = [{"id": f["id"],
                  "params": {k: _json_value(v) for k, v in f["params"].items()},
                  "lhs": _json_value(f["lhs"]), "rhs": _json_value(f["rhs"])}

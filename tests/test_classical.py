@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit import fps
+from bernkit import classical, fps
 from bernkit.classical import (Poly, bernoulli, bernoulli_poly,
                                bernoulli_poly_at, cauchy1, cauchy1_integral,
                                euler_at_one, euler_number, euler_poly, hw,
@@ -33,6 +33,25 @@ class TestBernoulli:
     def test_route_equality_with_worpitzky(self):
         for n in range(1, 101):
             assert bernoulli(n) == worpitzky_bernoulli(n)
+
+    def test_matches_fraction_recurrence(self):
+        # reference: the defining recurrence sum_j C(n+1,j) B_j = 0 in Fraction
+        ref = [Fraction(1)]
+        for m in range(1, 301):
+            ref.append(-sum(binom_int(m + 1, j) * ref[j] for j in range(m))
+                       / (m + 1))
+        assert [bernoulli(n) for n in range(301)] == ref
+
+    def test_cache_independent_of_request_order(self, monkeypatch):
+        def values(order):
+            monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+            for n in order:
+                bernoulli(n)
+            return [bernoulli(n) for n in range(301)]
+
+        cold = values([300])
+        assert values(range(301)) == cold
+        assert values([7, 250, 3]) == cold
 
     def test_worpitzky_small(self):
         assert worpitzky_bernoulli(1) == Fraction(-1, 2)
@@ -69,11 +88,21 @@ class TestEuler:
 
     def test_at_one_vs_bernoulli(self):
         # E_k(1) = -E_k(0) = 2(2^(k+1)-1) B_(k+1)/(k+1); fails at k=0
-        # (E_0 is the constant 1), holds from k=1 on.
+        # (E_0 is the constant 1), holds from k=1 on. Three independent
+        # routes: euler_at_one reads the Euler polynomials, euler_number the
+        # integer recurrence for 2^k E_k(0), bernoulli the tangent numbers.
         assert euler_at_one(1) == -euler_number(1) == Fraction(1, 2)
         for k in range(1, 41):
             closed = 2 * (2 ** (k + 1) - 1) * bernoulli(k + 1) / (k + 1)
             assert euler_at_one(k) == -euler_number(k) == closed
+
+    def test_matches_poly_route(self):
+        for n in range(151):
+            assert euler_number(n) == euler_poly(n)(0)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="euler_number requires n >= 0"):
+            euler_number(-1)
 
     def test_doubled_values_integral(self):
         for m in range(61):

@@ -186,3 +186,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_empty_id_inside_nonempty_verify_all_exits_2(capsys):
+    # MAIN, WORPITZKY and others run cases at these bounds; these six do not
+    code = cli.main(["verify", "all", "--n-max", "1", "--m-max", "1",
+                     "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("no cases for GEN_WORPITZKY, H1, H2, K3SPECIAL, CUMSUM, BPINT"
+            in captured.err)

@@ -129,3 +129,12 @@ def test_c1sq_implies_c1():
     assert results[1].label == "implies C1"
     assert results[1].lhs == check_congruence("C1", 7)[0].lhs
     assert all(res.passed for res in results)
+
+
+def test_sweep_to_401():
+    # per odd prime p: 2p + 9 statements (VSC has p, STIRP p - 2, C1SQ and
+    # CP1 two each), less C4 at p = 3
+    report = prime_sweep(p_max=401)
+    assert report.failures == []
+    assert report.cases == 29273
+    assert report.notes == ["skipped: C4 at p=3: requires p >= 5"]
