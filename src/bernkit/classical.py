@@ -8,74 +8,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .fps import Egf
 from .seqcore import binom, binom_int, factorial, harmonic, stirling1, stirling2
-
-
-class Poly:
-    """Dense polynomial over exact rationals; index i is the x^i coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i <= self.degree else Fraction(0)
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.degree, other.degree)
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n + 1)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(self.degree, other.degree)
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n + 1)])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([a * c for a in self.coeffs])
-
-    def integral_01(self) -> Fraction:
-        """Definite integral over [0, 1]."""
-        return sum((c / (i + 1) for i, c in enumerate(self.coeffs)), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 _BERN: list[Fraction] = [Fraction(1)]
 _EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
-_EULER_POLYS: list[Poly] = [Poly([1])]
+_EULER_POLYS: list[Egf] = [Egf([1])]
 
 
 def _tangent_numbers(k_max: int) -> list[int]:
@@ -129,31 +68,31 @@ def worpitzky_bernoulli(n: int) -> Fraction:
     )
 
 
-def bernoulli_poly(n: int) -> Poly:
-    """B_n(x) = sum_j C(n,j) B_j x^(n-j)."""
+def bernoulli_poly(n: int) -> Egf:
+    """B_n(x) = sum_j C(n,j) B_j x^(n-j), as an Egf of order n."""
     if n < 0:
         raise ValueError("bernoulli_poly requires n >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = binom_int(n, j) * bernoulli(j)
-    return Poly(coeffs)
+    return Egf([binom_int(n, i) * bernoulli(n - i) for i in range(n + 1)])
 
 
 def bernoulli_poly_at(n: int, x) -> Fraction:
     return bernoulli_poly(n)(x)
 
 
-def euler_poly(n: int) -> Poly:
-    """E_n(x) by the recurrence E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x)."""
+def euler_poly(n: int) -> Egf:
+    """E_n(x) by the recurrence E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x),
+    as an Egf of order n."""
     if n < 0:
         raise ValueError("euler_poly requires n >= 0")
     while len(_EULER_POLYS) <= n:
         m = len(_EULER_POLYS)
-        xn = Poly([Fraction(0)] * m + [Fraction(1)])
-        acc = Poly([0])
-        for j in range(m):
-            acc = acc + _EULER_POLYS[j].scale(binom_int(m, j))
-        _EULER_POLYS.append(xn - acc.scale(Fraction(1, 2)))
+        acc = [Fraction(0)] * m
+        for j, e in enumerate(_EULER_POLYS):
+            c = binom_int(m, j)
+            for i, a in enumerate(e.coeffs):
+                if a:
+                    acc[i] += c * a
+        _EULER_POLYS.append(Egf([-a / 2 for a in acc] + [1]))
     return _EULER_POLYS[n]
 
 
@@ -193,13 +132,15 @@ def cauchy1(k: int) -> Fraction:
 
 
 def cauchy1_integral(k: int) -> Fraction:
-    """Oracle route: k! times the integral of binom(x,k) over [0,1]."""
+    """Oracle route: k! times the integral of binom(x,k) over [0,1]. The
+    integer coefficients of x(x-1)...(x-k+1) are multiplied out one linear
+    factor at a time, independently of the Stirling table."""
     if k < 0:
         raise ValueError("cauchy1_integral requires k >= 0")
-    poly = Poly([1])
+    coeffs = [1]
     for i in range(k):
-        poly = poly * Poly([-i, 1])
-    return poly.integral_01()
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return sum((Fraction(c, j + 1) for j, c in enumerate(coeffs)), Fraction(0))
 
 
 def hw(n: int, x) -> Fraction:

@@ -54,7 +54,8 @@ def _json_value(v):
     return rat_str(v)
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args) -> int:
+    """Write the payload; exit code 0, or 2 when --out cannot be opened."""
     if not args.no_meta:
         payload = {"meta": {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
                    **payload}
@@ -65,10 +66,16 @@ def _emit(payload: dict, args) -> None:
     else:
         text = _to_markdown(payload)
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            print(f"--out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _to_csv(payload: dict) -> str:
@@ -150,8 +157,7 @@ def _cmd_compute(args) -> int:
             v = fn(n)
             values.append(rat_str(v) if v is not None else "undefined")
         payload["values"] = values
-    _emit(payload, args)
-    return 0
+    return _emit(payload, args)
 
 
 def _bounds_from(args) -> identities.SweepBounds:
@@ -177,9 +183,8 @@ def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
                  "params": {k: _json_value(v) for k, v in f["params"].items()},
                  "lhs": _json_value(f["lhs"]), "rhs": _json_value(f["rhs"])}
                 for rep in reports for f in rep.failures]
-    _emit({"suite": suite, "cases": cases, "failures": failures,
-           "notes": notes}, args)
-    return 1 if failures else 0
+    return _emit({"suite": suite, "cases": cases, "failures": failures,
+                  "notes": notes}, args) or (1 if failures else 0)
 
 
 def _cmd_verify(args) -> int:
@@ -222,8 +227,7 @@ def _cmd_series(args) -> int:
         "egf": [rat_str(series.egf(n)) for n in range(series.order + 1)],
     }
     payload["values"] = payload["ordinary"]
-    _emit(payload, args)
-    return 0
+    return _emit(payload, args)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -279,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values outgrow CPython's default 4,300-digit int/str limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -2,7 +2,9 @@
 
 Coefficients are stored as ordinary (OGF) coefficients; `egf(n)` multiplies
 by n! for the exponential view. Series are immutable and all operations are
-pure, so values can be shared freely.
+pure, so values can be shared freely. `Egf` is the package's one coefficient
+vector: a polynomial of degree n (such as a Bernoulli or Euler polynomial)
+is an `Egf` of order n, evaluated exactly by calling it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ class Egf:
     def egf(self, n: int) -> Fraction:
         """Exponential coefficient: n! times the ordinary coefficient."""
         return self.coeffs[n] * factorial(n)
+
+    def __call__(self, x: RatLike) -> Fraction:
+        """Exact value of the truncated polynomial at t = x (Horner)."""
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def truncate(self, order: int) -> "Egf":
         if order >= self.order:
@@ -235,14 +245,17 @@ def _poly_bernoulli_egf(order: int, p: int, x: RatLike) -> Egf:
     return mul(out, exp_t(order, x))
 
 
-SERIES_NAMES = (
-    "stirling2-egf",
-    "harmonic-ogf",
-    "harmonic-squared-ogf",
-    "central-binomial-harmonic-ogf",
-    "euler-poly-egf",
-    "polybern",
-)
+_SERIES = {
+    "stirling2-egf": lambda order, k, p, x: _stirling2_egf(order, k),
+    "harmonic-ogf": lambda order, k, p, x: _harmonic_ogf(order),
+    "harmonic-squared-ogf": lambda order, k, p, x: _harmonic_sq_ogf(order),
+    "central-binomial-harmonic-ogf":
+        lambda order, k, p, x: _central_binomial_harmonic_ogf(order),
+    "euler-poly-egf": lambda order, k, p, x: _euler_poly_egf(order, x),
+    "polybern": lambda order, k, p, x: _poly_bernoulli_egf(order, p, x),
+}
+
+SERIES_NAMES = tuple(_SERIES)
 
 
 def named_series(name: str, order: int, *, k: int = 1, p: int = 2,
@@ -258,16 +271,6 @@ def named_series(name: str, order: int, *, k: int = 1, p: int = 2,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if name == "stirling2-egf":
-        return _stirling2_egf(order, k)
-    if name == "harmonic-ogf":
-        return _harmonic_ogf(order)
-    if name == "harmonic-squared-ogf":
-        return _harmonic_sq_ogf(order)
-    if name == "central-binomial-harmonic-ogf":
-        return _central_binomial_harmonic_ogf(order)
-    if name == "euler-poly-egf":
-        return _euler_poly_egf(order, x)
-    if name == "polybern":
-        return _poly_bernoulli_egf(order, p, x)
-    raise KeyError(f"unknown series {name!r}")
+    if name not in _SERIES:
+        raise KeyError(f"unknown series {name!r}")
+    return _SERIES[name](order, k, p, x)

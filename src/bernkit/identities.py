@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .classical import (bernoulli, bernoulli_poly_at, cauchy1, euler_number,
-                        euler_poly, hw)
+                        hw)
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom, binom_int, factorial, harmonic, harmonic_gen,
                       stirling1, stirling2)

@@ -1,4 +1,4 @@
-"""Poly-Bernoulli numbers and polynomials via exact truncated series.
+"""The poly-Bernoulli numbers and polynomials via exact truncated series.
 
 The EGF Li_p(1-e^{-t})/(1-e^{-t}) e^{xt} is expanded once per (p, x) pair
 and cached; the coefficient list only ever grows.

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from bernkit import classical, fps
-from bernkit.classical import (Poly, bernoulli, bernoulli_poly,
-                               bernoulli_poly_at, cauchy1, cauchy1_integral,
-                               euler_at_one, euler_number, euler_poly, hw,
+from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
+                               cauchy1, cauchy1_integral, euler_at_one,
+                               euler_number, euler_poly, hw,
                                hw_closed_integer, worpitzky_bernoulli)
+from bernkit.fps import Egf
 from bernkit.seqcore import binom_int, harmonic
 
 
@@ -61,7 +62,7 @@ class TestBernoulli:
 
 class TestBernoulliPoly:
     def test_degree_two(self):
-        assert bernoulli_poly(2) == Poly([Fraction(1, 6), -1, 1])
+        assert bernoulli_poly(2) == Egf([Fraction(1, 6), -1, 1])
         assert bernoulli_poly_at(2, 1) == Fraction(1, 6)
 
     def test_value_at_zero(self):
@@ -161,21 +162,25 @@ def test_agoh_harmonic_equality():
             assert lhs == rhs
 
 
-class TestPoly:
-    def test_trailing_zeros_trimmed(self):
-        assert Poly([1, 2, 0, 0]) == Poly([1, 2])
-        assert Poly([0, 0]) == Poly([0])
+def test_polynomials_are_egfs_of_order_n():
+    # degree n with leading coefficient 1, so no trailing zero to trim
+    for n in range(31):
+        for poly in (bernoulli_poly(n), euler_poly(n)):
+            assert isinstance(poly, Egf)
+            assert poly.order == n and poly.coeffs[-1] == 1
 
-    def test_arithmetic(self):
-        p = Poly([1, 1])
-        q = Poly([-1, 1])
-        assert p * q == Poly([-1, 0, 1])
-        assert (p + q) == Poly([0, 2])
-        assert (p - q) == Poly([2])
 
-    def test_exact_evaluation(self):
-        p = Poly([Fraction(1, 3), 0, 1])
-        assert p(Fraction(1, 2)) == Fraction(7, 12)
+def test_oracle_routes_do_not_read_the_checked_routes(monkeypatch):
+    # cauchy1_integral checks cauchy1 (a Stirling sum), and euler_poly
+    # checks euler_number: neither may call the route it checks.
+    cauchy = [cauchy1_integral(k) for k in range(25)]
+    euler = [euler_poly(n) for n in range(25)]
 
-    def test_integral(self):
-        assert Poly([0, 1]).integral_01() == Fraction(1, 2)
+    def checked_route(*args):
+        raise AssertionError("oracle route called the route it checks")
+
+    monkeypatch.setattr(classical, "stirling1", checked_route)
+    monkeypatch.setattr(classical, "euler_number", checked_route)
+    monkeypatch.setattr(classical, "_EULER_POLYS", [Egf([1])])
+    assert [cauchy1_integral(k) for k in range(25)] == cauchy
+    assert [euler_poly(n) for n in range(25)] == euler

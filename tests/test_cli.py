@@ -182,6 +182,27 @@ def test_empty_domain_exits_2(capsys, argv):
     assert captured.out == "" and "no cases" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "bernoulli", "--n-max", "3"),
+    ("congruence", "C1", "--p-max", "7"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.json"
+    code = cli.main([*argv, "--out", str(out), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+
+
+def test_values_past_the_int_str_digit_limit(capsys):
+    # the denominator of B_1^(15000)(0) = 1/2^15000 has 4,516 digits
+    code, payload = run_json(capsys, "compute", "poly_bernoulli",
+                             "--n-max", "1", "--p", "15000", "--no-meta")
+    assert code == 0
+    assert payload["values"][1] == "1/" + str(2**15000)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -101,6 +101,10 @@ def test_egf_accessor():
     assert all(e.egf(n) == 1 for n in range(9))
 
 
+def test_exact_evaluation():
+    assert Egf([Fraction(1, 3), 0, 1])(Fraction(1, 2)) == Fraction(7, 12)
+
+
 def test_equality_requires_same_order():
     assert Egf([1, 2]) != Egf([1, 2, 0])
 
