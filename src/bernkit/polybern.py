@@ -1,7 +1,9 @@
 """The poly-Bernoulli numbers and polynomials via exact truncated series.
 
-The EGF Li_p(1-e^{-t})/(1-e^{-t}) e^{xt} is expanded once per (p, x) pair
-and cached; the coefficient list only ever grows.
+The EGF Li_p(1-e^{-t})/(1-e^{-t}) e^{xt} is expanded per (p, x) pair and
+its EGF coefficients are cached. A request past the cached order rebuilds
+the series at order max(n, 2 * cached order), so an ascending walk to N
+builds O(log N) series instead of N; the coefficient list only ever grows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ def _series_coeffs(p: int, x: Fraction, order: int) -> list[Fraction]:
     key = (p, x)
     have = _CACHE.get(key)
     if have is None or len(have) <= order:
-        series = fps.named_series("polybern", max(order, 1), p=p, x=x)
+        cached = len(have) - 1 if have else 0
+        series = fps.named_series("polybern", max(order, 2 * cached, 1),
+                                  p=p, x=x)
         _CACHE[key] = [series.egf(n) for n in range(series.order + 1)]
     return _CACHE[key]
 

@@ -120,13 +120,18 @@ def harmonic_gen(n: int, m: int) -> Fraction:
 
 
 def binom(x: Fraction | int, k: int) -> Fraction:
-    """Binomial coefficient x(x-1)...(x-k+1)/k! for rational (or any) x."""
+    """Binomial coefficient x(x-1)...(x-k+1)/k! for rational x.
+
+    With x = a/b this is prod_{i<k} (a - i*b) / (b^k k!): the numerator is one
+    integer product, so the Fraction is normalised once."""
     if k < 0:
         raise ValueError("binom requires k >= 0")
-    num = Fraction(1)
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    num = 1
     for i in range(k):
-        num *= Fraction(x) - i
-    return num / factorial(k)
+        num *= a - i * b
+    return Fraction(num, b**k * factorial(k))
 
 
 def binom_int(n: int, k: int) -> int:

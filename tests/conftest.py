@@ -1,5 +1,25 @@
 import sys
 
+import pytest
+
+from bernkit import fps, polybern
+
+
+@pytest.fixture
+def polybern_builds(monkeypatch):
+    """Empty the poly-Bernoulli cache and record the order of every
+    series it builds from then on."""
+    builds = []
+    named_series = fps.named_series
+
+    def counting(name, order, **kw):
+        builds.append(order)
+        return named_series(name, order, **kw)
+
+    monkeypatch.setattr(polybern, "_CACHE", {})
+    monkeypatch.setattr(fps, "named_series", counting)
+    return builds
+
 
 def pytest_terminal_summary(terminalreporter):
     mod = sys.modules.get("test_acceptance") or sys.modules.get(

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from bernkit import cli
+from bernkit import classical, cli
 from bernkit.identities import CATALOG
 
 
@@ -45,6 +46,18 @@ class TestCompute:
     def test_unknown_sequence(self, capsys):
         code, _ = run(capsys, "compute", "nope", "--no-meta")
         assert code == 2
+
+    def test_memo_tables_are_filled_once_to_n_max(self, capsys, monkeypatch,
+                                                  polybern_builds):
+        # bernoulli and poly_bernoulli rebuild at doubled size when asked
+        # past their cache; compute asks for n_max first
+        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+        code, _ = run(capsys, "compute", "bernoulli", "--n-max", "700",
+                      "--no-meta")
+        assert code == 0 and len(classical._BERN) == 701
+        code, _ = run(capsys, "compute", "poly_bernoulli", "--n-max", "40",
+                      "--p", "3", "--no-meta")
+        assert code == 0 and polybern_builds == [40]
 
     def test_bad_range(self, capsys):
         code, _ = run(capsys, "compute", "bernoulli", "--n-max", "-3",

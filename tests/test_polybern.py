@@ -1,7 +1,10 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
+from bernkit import fps, polybern
 from bernkit.classical import bernoulli, bernoulli_poly_at
 from bernkit.polybern import (dibernoulli, dibernoulli_at_one, poly_bernoulli,
                               stirling_sum_oracle)
@@ -60,3 +63,25 @@ def test_cumulative_sum_spot_n2():
     lhs = sum(bernoulli(j) for j in range(3))
     assert lhs == Fraction(2, 3)
     assert lhs == dibernoulli_at_one(2) + bernoulli(2) - dibernoulli(2) - 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_values_are_independent_of_request_order(monkeypatch, p):
+    # named_series is pure, so walks that build the same order share it
+    monkeypatch.setattr(fps, "named_series", functools.cache(fps.named_series))
+    ns = list(range(61))
+    rest = [n for n in ns if n not in (7, 60)]
+    random.Random(p).shuffle(rest)
+    for x in (Fraction(0), Fraction(1), Fraction(-3, 2)):
+        series = fps.named_series("polybern", 60, p=p, x=x)
+        want = {n: series.egf(n) for n in ns}
+        for walk in (ns, ns[::-1], [7, 60, *rest]):
+            monkeypatch.setattr(polybern, "_CACHE", {})
+            assert {n: poly_bernoulli(n, p, x) for n in walk} == want
+
+
+def test_ascending_requests_build_logarithmically_many_series(polybern_builds):
+    for n in range(1, 65):
+        poly_bernoulli(n, 2, 0)
+    assert len(polybern_builds) <= 7
+    assert max(polybern_builds) < 2 * 64

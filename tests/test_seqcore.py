@@ -193,6 +193,24 @@ class TestBinom:
             for k in range(8):
                 assert binom(n, k) == binom_int(n, k)
 
+    def test_matches_fraction_product_route(self):
+        # reference: multiply Fraction factors one at a time, divide by k!
+        def fraction_product(x, k_max):
+            num = Fraction(1)
+            for k in range(k_max + 1):
+                yield num / factorial(k)
+                num *= Fraction(x) - k
+
+        rng = random.Random(5)
+        xs = [Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+              for _ in range(60)]
+        xs += [0, 1, -1, 7, Fraction(0), Fraction(1), Fraction(-1),
+               Fraction(7), Fraction(1, 2), Fraction(-5, 3)]
+        for x in xs:
+            for k, want in enumerate(fraction_product(x, 120)):
+                got = binom(x, k)
+                assert type(got) is Fraction and got == want, (x, k)
+
     @given(st.integers(min_value=0, max_value=30),
            st.integers(min_value=0, max_value=30))
     def test_matches_math_comb(self, n, k):
