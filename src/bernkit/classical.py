@@ -154,11 +154,3 @@ def hw(n: int, x) -> Fraction:
         Fraction(0),
     )
 
-
-def hw_closed_integer(n: int, m: int) -> Fraction:
-    """Closed form of hw(n, m) at positive integer m."""
-    if n < 1 or m < 1:
-        raise ValueError("hw_closed_integer requires n, m >= 1")
-    return harmonic(m) * Fraction(m) ** n - sum(
-        (Fraction((m - j) ** n, j) for j in range(1, m + 1)), Fraction(0)
-    )

@@ -169,6 +169,17 @@ def _bounds_from(args) -> identities.SweepBounds:
         include_j_equals_n=args.include_j_equals_n)
 
 
+def sweep_payload(suite: str, reports, notes: list[str]) -> dict:
+    """The sweep reports as one JSON-ready payload (without `meta`): the
+    suite name, the total case count, every failure record and the notes."""
+    failures = [{"id": f["id"],
+                 "params": {k: _json_value(v) for k, v in f["params"].items()},
+                 "lhs": _json_value(f["lhs"]), "rhs": _json_value(f["rhs"])}
+                for rep in reports for f in rep.failures]
+    return {"suite": suite, "cases": sum(rep.cases for rep in reports),
+            "failures": failures, "notes": notes}
+
+
 def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
     """Write the sweep reports as one. A report with an empty domain
     verifies nothing, so it writes nothing and is a usage error, even
@@ -179,13 +190,8 @@ def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
         print(f"{suite}: no cases{which} in the requested domain",
               file=sys.stderr)
         return 2
-    cases = sum(rep.cases for rep in reports)
-    failures = [{"id": f["id"],
-                 "params": {k: _json_value(v) for k, v in f["params"].items()},
-                 "lhs": _json_value(f["lhs"]), "rhs": _json_value(f["rhs"])}
-                for rep in reports for f in rep.failures]
-    return _emit({"suite": suite, "cases": cases, "failures": failures,
-                  "notes": notes}, args) or (1 if failures else 0)
+    payload = sweep_payload(suite, reports, notes)
+    return _emit(payload, args) or (1 if payload["failures"] else 0)
 
 
 def _cmd_verify(args) -> int:

@@ -46,11 +46,6 @@ class Egf:
             acc = acc * x + c
         return acc
 
-    def truncate(self, order: int) -> "Egf":
-        if order >= self.order:
-            return self
-        return Egf(self.coeffs[: order + 1])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Egf) and self.coeffs == other.coeffs
 
@@ -124,27 +119,6 @@ def inv(a: Egf) -> Egf:
     return Egf(out)
 
 
-def div(a: Egf, b: Egf) -> Egf:
-    return mul(a, inv(b.truncate(_common_order(a, b))))
-
-
-def exp_series(f: Egf) -> Egf:
-    """exp(f) for f with zero constant term, via f' g = g' relation."""
-    if f.coeffs[0] != 0:
-        raise ValueError("exp_series requires zero constant term")
-    n = f.order
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    # (exp f)' = f' exp f  =>  k*out[k] = sum_{i=1..k} i*f_i*out[k-i]
-    for k in range(1, n + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            if f.coeffs[i]:
-                s += i * f.coeffs[i] * out[k - i]
-        out[k] = s / k
-    return Egf(out)
-
-
 def log1p_series(f: Egf) -> Egf:
     """log(1 + f) for f with zero constant term."""
     if f.coeffs[0] != 0:
@@ -158,19 +132,6 @@ def log1p_series(f: Egf) -> Egf:
     for k in range(1, n + 1):
         out[k] = deriv.coeffs[k - 1] / k
     return Egf(out)
-
-
-def compose(g: Egf, f: Egf) -> Egf:
-    """g(f(t)) for inner series f with zero constant term (Horner)."""
-    if f.coeffs[0] != 0:
-        raise ValueError("compose requires inner series with zero constant term")
-    n = _common_order(g, f)
-    acc = Egf([g.coeffs[n]] + [Fraction(0)] * n)
-    ftrunc = f.truncate(n)
-    for k in range(n - 1, -1, -1):
-        acc = mul(acc, ftrunc)
-        acc = Egf([acc.coeffs[0] + g.coeffs[k]] + list(acc.coeffs[1:]))
-    return acc
 
 
 def polylog_series(p: int, f: Egf) -> Egf:

@@ -151,25 +151,16 @@ def _k3_lhs(p: Params) -> Fraction:
                 for k in range(3, n + 1)), Fraction(0))
 
 
-def _binomial_weighted_bern(n: int, x: Fraction, sign: bool = False,
-                            plus_one: bool = False,
-                            weight: Callable[[int], Fraction] | None = None) -> Fraction:
-    out = Fraction(0)
-    for j in range(1, n + 1):
-        c = binom_int(n, j) + (1 if plus_one else -1)
-        term = c * bernoulli(j) / j
-        if sign:
-            term *= (-1) ** j
-        if weight is not None:
-            term *= weight(j)
-        else:
-            term *= x ** (n - j)
-        out += term
-    return out
+def _binomial_weighted_bern(n: int, weight: Callable[[int], Fraction | int],
+                            shift: int = -1) -> Fraction:
+    """sum_{j=1..n} (C(n,j) + shift) B_j/j weight(j)."""
+    return sum(((binom_int(n, j) + shift) * bernoulli(j) / j * weight(j)
+                for j in range(1, n + 1)), Fraction(0))
 
 
 def _polyx_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], Fraction(p["x"]))
+    n, x = p["n"], Fraction(p["x"])
+    return _binomial_weighted_bern(n, lambda j: x ** (n - j))
 
 
 def _polyx_rhs(p: Params) -> Fraction:
@@ -199,7 +190,8 @@ def _polyx_coeff_rhs(p: Params) -> Fraction:
 
 
 def _agoh_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], Fraction(p["m"]))
+    n, m = p["n"], p["m"]
+    return _binomial_weighted_bern(n, lambda j: m ** (n - j))
 
 
 def _agoh_rhs(p: Params) -> Fraction:
@@ -209,7 +201,8 @@ def _agoh_rhs(p: Params) -> Fraction:
 
 
 def _agoh_alt_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], Fraction(p["m"]), sign=True)
+    n, m = p["n"], p["m"]
+    return _binomial_weighted_bern(n, lambda j: (-1) ** j * m ** (n - j))
 
 
 def _agoh_alt_rhs(p: Params) -> Fraction:
@@ -219,7 +212,7 @@ def _agoh_alt_rhs(p: Params) -> Fraction:
 
 
 def _agoh_m1_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], Fraction(1), sign=True)
+    return _binomial_weighted_bern(p["n"], lambda j: (-1) ** j)
 
 
 def _agoh_m1_rhs(p: Params) -> Fraction:
@@ -228,9 +221,7 @@ def _agoh_m1_rhs(p: Params) -> Fraction:
 
 
 def _agoh_combine_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return _binomial_weighted_bern(
-        n, Fraction(0), weight=lambda j: 1 - Fraction(1, 2**j))
+    return _binomial_weighted_bern(p["n"], lambda j: 1 - Fraction(1, 2**j))
 
 
 def _agoh_combine_rhs(p: Params) -> Fraction:
@@ -239,9 +230,7 @@ def _agoh_combine_rhs(p: Params) -> Fraction:
 
 
 def _rec16_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return _binomial_weighted_bern(
-        n, Fraction(0), plus_one=True, weight=lambda j: Fraction(1 - 2**j))
+    return _binomial_weighted_bern(p["n"], lambda j: 1 - 2**j, shift=1)
 
 
 def _rec16_euler_lhs(p: Params) -> Fraction:

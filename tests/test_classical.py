@@ -7,7 +7,7 @@ from bernkit import classical, fps
 from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
                                cauchy1, cauchy1_integral, euler_at_one,
                                euler_number, euler_poly, hw,
-                               hw_closed_integer, worpitzky_bernoulli)
+                               worpitzky_bernoulli)
 from bernkit.fps import Egf
 from bernkit.seqcore import binom_int, harmonic
 
@@ -137,6 +137,12 @@ class TestHw:
         assert hw(2, Fraction(-1, 2)) == Fraction(5, 8)
 
     def test_closed_integer_route(self):
+        def hw_closed_integer(n, m):
+            # H_m m^n - sum_{j=1..m} (m-j)^n / j, at positive integer m
+            return harmonic(m) * Fraction(m) ** n - sum(
+                (Fraction((m - j) ** n, j) for j in range(1, m + 1)),
+                Fraction(0))
+
         assert hw_closed_integer(2, 2) == 5
         assert hw_closed_integer(3, 2) == 11
         for n in range(1, 13):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit import classical, cli
+from bernkit import classical, cli, congr, identities
 from bernkit.identities import CATALOG
+from bernkit.seqcore import harmonic
 
 
 def run(capsys, *argv):
@@ -145,6 +146,26 @@ class TestVerify:
         assert len(payload["failures"]) >= 1
         rec = payload["failures"][0]
         assert set(rec) == {"id", "params", "lhs", "rhs"}
+
+
+def test_sweep_payload_is_the_no_meta_json(capsys, monkeypatch):
+    # a failing identity record and a failing residue record
+    entry = CATALOG["H2"]
+    monkeypatch.setitem(
+        CATALOG, "H2",
+        type(entry)(entry.domain, entry.cases, entry.lhs,
+                    lambda p: entry.rhs(p) + 1))
+    monkeypatch.setattr(congr, "harmonic", lambda n: harmonic(n) + 1)
+    reports = identities.verify_all(identities.SweepBounds(n_max=10), ["H2"])
+    congruence = congr.prime_sweep(["BABBAGE"], 13)
+    for argv, payload in [
+            (("verify", "H2", "--n-max", "10"),
+             cli.sweep_payload("identities", reports, [])),
+            (("congruence", "BABBAGE", "--p-max", "13"),
+             cli.sweep_payload("congruence", [congruence], congruence.notes))]:
+        code, out = run(capsys, *argv, "--no-meta")
+        assert code == 1 and payload["failures"]
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestCongruence:

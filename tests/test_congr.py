@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bernkit import congr
 from bernkit.congr import (DenominatorDivisibleByP, Residue, check_congruence,
@@ -33,6 +33,17 @@ class TestRationalMod:
         ra = rational_mod(a, p, p).value
         rb = rational_mod(b, p, p).value
         assert rational_mod(a * b, p, p).value == ra * rb % p
+
+    @given(st.sampled_from([3, 5, 7, 11]), st.booleans(),
+           st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+    def test_ring_homomorphism(self, p, square, a, b):
+        # + and * are preserved modulo p and p^2 for denominators prime to p
+        assume(a.denominator % p and b.denominator % p)
+        m = p * p if square else p
+        ra = rational_mod(a, m, p).value
+        rb = rational_mod(b, m, p).value
+        assert rational_mod(a + b, m, p).value == (ra + rb) % m
+        assert rational_mod(a * b, m, p).value == ra * rb % m
 
 
 def test_residue_range_enforced():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bernkit.seqcore import (HarmonicCache, binom, binom_int, factorial,
-                             harmonic, harmonic_gen, stirling1, stirling2)
+from bernkit import seqcore
+from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
+                             harmonic_gen, stirling1, stirling2)
 
 
 def count_set_partitions(n, k):
@@ -164,11 +165,11 @@ class TestHarmonic:
         assert harmonic_gen(n, m) == sum(
             (Fraction(1, i**m) for i in range(1, n + 1)), Fraction(0))
 
-    def test_generalized_deep_cold_cache(self):
-        cache = HarmonicCache()  # nothing memoized below n
-        h = cache.harmonic_gen(5000, 2)
-        assert h - cache.harmonic_gen(4999, 2) == Fraction(1, 5000**2)
-        assert cache.harmonic_gen(5000, 2) is h
+    def test_generalized_deep_cold_cache(self, monkeypatch):
+        monkeypatch.setattr(seqcore, "_HM", {})  # nothing memoized below n
+        h = harmonic_gen(5000, 2)
+        assert h - harmonic_gen(4999, 2) == Fraction(1, 5000**2)
+        assert harmonic_gen(5000, 2) is h
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
