@@ -19,8 +19,8 @@ from typing import Callable, Iterable
 from .classical import (bernoulli, bernoulli_poly_at, cauchy1, euler_number,
                         hw)
 from .polybern import dibernoulli, dibernoulli_at_one
-from .seqcore import (binom, binom_int, factorial, harmonic, harmonic_gen,
-                      stirling1, stirling2)
+from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, stirling1,
+                      stirling2)
 
 Params = dict[str, int | Fraction]
 
