@@ -57,6 +57,16 @@ def bernoulli(n: int) -> Fraction:
     return _BERN[n]
 
 
+def bernoulli_sum(n: int) -> Fraction:
+    """sum_{j<=n} B_j."""
+    return sum((bernoulli(j) for j in range(n + 1)), Fraction(0))
+
+
+def bernoulli_reciprocal_sum(n: int) -> Fraction:
+    """sum_{j<=n} B_j / (n - j + 1)."""
+    return sum((bernoulli(j) / (n - j + 1) for j in range(n + 1)), Fraction(0))
+
+
 def worpitzky_bernoulli(n: int) -> Fraction:
     """B_n from the alternating Stirling sum sum_k (-1)^k {n,k} k!/(k+1)."""
     if n < 1:

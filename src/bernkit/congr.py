@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .classical import bernoulli, cauchy1, euler_number
+from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
+                        cauchy1, euler_number)
 from .identities import Report
 from .seqcore import factorial, harmonic, stirling2
 
@@ -66,16 +67,8 @@ class CongruenceEntry:
     min_p: int = 3
 
 
-def _c1_sum(p: int) -> Fraction:
-    return sum((p * bernoulli(j) for j in range(p + 1)), Fraction(0))
-
-
-def _c3_sum(p: int) -> Fraction:
-    return p * sum((bernoulli(j) / (p - j + 1) for j in range(p + 1)), Fraction(0))
-
-
 def _c1sq(p: int) -> list[tuple]:
-    s = _c1_sum(p)
+    s = p * bernoulli_sum(p)
     # consistency chain: the mod-p^2 statement implies C1
     return [(s, factorial(p - 1), p * p, ""), (s, -1, p, "implies C1")]
 
@@ -86,17 +79,16 @@ def _vsc(p: int) -> list[tuple]:
 
 
 CATALOG: dict[str, CongruenceEntry] = {
-    "C1": CongruenceEntry(lambda p: [(_c1_sum(p), -1, p, "")]),
+    "C1": CongruenceEntry(lambda p: [(p * bernoulli_sum(p), -1, p, "")]),
     "C2": CongruenceEntry(lambda p: [(
         sum((euler_number(j) for j in range(p + 1)), Fraction(0)),
         Fraction(3, 2), p, "")]),
-    "C3": CongruenceEntry(lambda p: [(_c3_sum(p), -1, p, "")]),
-    "C4": CongruenceEntry(lambda p: [(
-        sum((bernoulli(j) for j in range(p - 2)), Fraction(0)), -1, p, "")],
-        min_p=5),
+    "C3": CongruenceEntry(lambda p: [(
+        p * bernoulli_reciprocal_sum(p), -1, p, "")]),
+    "C4": CongruenceEntry(lambda p: [(bernoulli_sum(p - 3), -1, p, "")], min_p=5),
     "C1SQ": CongruenceEntry(_c1sq),
-    "C3SQ": CongruenceEntry(lambda p: [(
-        _c3_sum(p), Fraction(-p, 2) - cauchy1(p), p * p, "")]),
+    "C3SQ": CongruenceEntry(lambda p: [(p * bernoulli_reciprocal_sum(p),
+                                        Fraction(-p, 2) - cauchy1(p), p * p, "")]),
     "GLAISHER": CongruenceEntry(lambda p: [(
         factorial(p - 1), -p + p * bernoulli(p - 1), p * p, "")]),
     "BABBAGE": CongruenceEntry(lambda p: [(harmonic(p - 1), 0, p, "")]),

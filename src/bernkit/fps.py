@@ -195,15 +195,12 @@ def _euler_poly_egf(order: int, x: RatLike) -> Egf:
 
 
 def _poly_bernoulli_egf(order: int, p: int, x: RatLike) -> Egf:
-    # Li_p(u)/u with u = 1-e^{-t}: sum_{k>=0} u^k/(k+1)^p, times e^{xt}.
-    u = sub(Egf.one(order), exp_t(order, -1))
-    out = Egf.zero(order)
-    power = Egf.one(order)
-    out = add(out, power)
-    for k in range(1, order + 1):
-        power = mul(power, u)
-        out = add(out, scale(power, Fraction(1, (k + 1) ** p)))
-    return mul(out, exp_t(order, x))
+    # Li_p(u)/u with u = 1-e^{-t}, times e^{xt}. Li_p(u) and u are built one
+    # order higher, so that both quotients by t keep `order` and the
+    # division by u is (Li_p(u)/t) * inv(u/t).
+    u = sub(Egf.one(order + 1), exp_t(order + 1, -1))
+    li_over_t = Egf(polylog_series(p, u).coeffs[1:])
+    return mul(mul(li_over_t, inv(Egf(u.coeffs[1:]))), exp_t(order, x))
 
 
 _SERIES = {

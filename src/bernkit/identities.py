@@ -7,6 +7,13 @@ transcription slip on either side surfaces as a sweep failure. Most entries'
 sides share only seqcore primitives. The exceptions are CUMSUM and EQ14,
 which call `bernoulli` on both sides, and REDUCTION, which calls `_calB` on
 both sides: an error in those shared routes cancels there.
+`tests/test_identities.py` checks this by recording which functions each
+side reaches.
+
+The paper's convolution sum_k (-1)^(k-j) {n,k} [k,j] weight(k) is written
+once, in `_calB`. MAIN's left side, both sides of REDUCTION and the right
+side of POLYX_COEFFS read it with the default weight H_k; GEN_WORPITZKY's
+left side reads it with weight 1/k.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .classical import (bernoulli, bernoulli_poly_at, cauchy1, euler_number,
-                        hw)
+from .classical import (bernoulli, bernoulli_poly_at, bernoulli_reciprocal_sum,
+                        bernoulli_sum, cauchy1, euler_number, hw,
+                        worpitzky_bernoulli)
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, stirling1,
                       stirling2)
@@ -79,10 +87,12 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
             return q
 
 
-def _calB(n: int, j: int) -> Fraction:
-    """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] H_k."""
+def _calB(n: int, j: int,
+          weight: Callable[[int], Fraction] = harmonic) -> Fraction:
+    """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] weight(k), by
+    default with weight(k) = H_k."""
     return sum(
-        ((-1) ** (k - j) * stirling2(n, k) * stirling1(k, j) * harmonic(k)
+        ((-1) ** (k - j) * stirling2(n, k) * stirling1(k, j) * weight(k)
          for k in range(j, n + 1)),
         Fraction(0),
     )
@@ -94,10 +104,6 @@ def _hsq_sum(n: int) -> Fraction:
          for k in range(1, n + 1)),
         Fraction(0),
     )
-
-
-def _bernoulli_sum(n: int) -> Fraction:
-    return sum((bernoulli(j) for j in range(n + 1)), Fraction(0))
 
 
 # --- per-identity lhs/rhs evaluators ---------------------------------------
@@ -114,16 +120,8 @@ def _main_rhs(p: Params) -> Fraction:
     return (binom_int(n, j) - 1) * bernoulli(n - j) / (n - j)
 
 
-def _worpitzky_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum(((-1) ** k * stirling2(n, k) * Fraction(factorial(k), k + 1)
-                for k in range(1, n + 1)), Fraction(0))
-
-
 def _gen_worpitzky_lhs(p: Params) -> Fraction:
-    n, j = p["n"], p["j"]
-    return sum((Fraction((-1) ** (k - j), k) * stirling2(n, k) * stirling1(k, j)
-                for k in range(j, n + 1)), Fraction(0))
+    return _calB(p["n"], p["j"], lambda k: Fraction(1, k))
 
 
 def _gen_worpitzky_rhs(p: Params) -> Fraction:
@@ -177,16 +175,10 @@ def _polyx_coeff_lhs(p: Params) -> Fraction:
 
 
 def _polyx_coeff_rhs(p: Params) -> Fraction:
-    # x^i coefficient of hw(n, x) - H_n x^n as a polynomial in x
+    # x^i coefficient of hw(n, x) - H_n x^n as a polynomial in x, since
+    # k! binom(x, k) = sum_i (-1)^(k-i) [k,i] x^i
     n, i = p["n"], p["coeff"]
-    out = Fraction(0)
-    for k in range(max(1, i), n + 1):
-        # k! binom(x, k) = sum_i (-1)^(k-i) [k,i] x^i
-        out += (stirling2(n, k) * harmonic(k)
-                * (-1) ** (k - i) * stirling1(k, i))
-    if i == n:
-        out -= harmonic(n)
-    return out
+    return _calB(n, i) - (harmonic(n) if i == n else 0)
 
 
 def _agoh_lhs(p: Params) -> Fraction:
@@ -207,8 +199,7 @@ def _agoh_alt_lhs(p: Params) -> Fraction:
 
 def _agoh_alt_rhs(p: Params) -> Fraction:
     n, m = p["n"], p["m"]
-    return Fraction(m) ** n * (harmonic(m) - harmonic(n) + Fraction(n - 1, m)) - sum(
-        (Fraction((m - j) ** n, j) for j in range(1, m + 1)), Fraction(0))
+    return _agoh_rhs(p) + m ** (n - 1) * (n - 1)
 
 
 def _agoh_m1_lhs(p: Params) -> Fraction:
@@ -256,7 +247,7 @@ def _agoh_eq11_rhs(p: Params) -> Fraction:
 
 
 def _cumsum_lhs(p: Params) -> Fraction:
-    return _bernoulli_sum(p["n"])
+    return bernoulli_sum(p["n"])
 
 
 def _cumsum_rhs(p: Params) -> Fraction:
@@ -317,11 +308,6 @@ def _zero(p: Params) -> Fraction:
     return Fraction(0)
 
 
-def _hw_cauchy_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum((bernoulli(j) / (n - j + 1) for j in range(n + 1)), Fraction(0))
-
-
 def _hw_cauchy_rhs(p: Params) -> Fraction:
     n = p["n"]
     return 1 - (n + 1) * sum(
@@ -330,18 +316,23 @@ def _hw_cauchy_rhs(p: Params) -> Fraction:
 
 
 def _convention_note(bounds: SweepBounds) -> str:
-    """Brute-force finding for Eq-(4)-style identity on the n-j=1 line."""
-    plus, minus, total = 0, 0, 0
-    for n in range(2, min(bounds.n_max, 30) + 1):
-        lhs = _gen_worpitzky_lhs({"n": n, "j": n - 1})
-        total += 1
-        if lhs == binom_int(n - 1, n - 1) * Fraction(1, 2):
-            plus += 1
-        if lhs == binom_int(n - 1, n - 1) * Fraction(-1, 2):
-            minus += 1
+    """Brute-force finding for Eq-(4)-style identity on the n-j=1 line, where
+    the right side reduces to B_1."""
+    lhs = [_gen_worpitzky_lhs({"n": n, "j": n - 1})
+           for n in range(2, min(bounds.n_max, 30) + 1)]
+    total = len(lhs)
+    plus, minus = lhs.count(Fraction(1, 2)), lhs.count(Fraction(-1, 2))
+    if not total:
+        verdict = "no case on this line was checked"
+    elif plus == total:
+        verdict = "the +1/2 convention is required on this line"
+    elif minus == total:
+        verdict = "the -1/2 convention is required on this line"
+    else:
+        verdict = "neither convention closes every case on this line"
     return (f"n-j=1 subdomain, direct summation for n<=30: B_1=+1/2 closes the "
             f"identity in {plus}/{total} cases, B_1=-1/2 in {minus}/{total}; "
-            f"the +1/2 convention is required on this line")
+            f"{verdict}")
 
 
 # --- case generators --------------------------------------------------------
@@ -391,9 +382,9 @@ def _cases_eq11(b: SweepBounds) -> Iterable[Params]:
             yield {"m": m, "z": _rand_rational(rng)}
 
 
-def _cases_nj(j_lo: int, n_lo: int = 1):
+def _cases_nj(j_lo: int):
     def gen(b: SweepBounds) -> Iterable[Params]:
-        for n in range(n_lo, b.n_max + 1):
+        for n in range(1, b.n_max + 1):
             for j in b.j_range(j_lo, n):
                 yield {"n": n, "j": j}
     return gen
@@ -423,7 +414,7 @@ CATALOG: dict[str, IdentityEntry] = {
         note=lambda b: "j=n excluded: RHS (binom(n,n)-1)*B_0/0 is "
                        "indeterminate; LHS there equals H_n"),
     "WORPITZKY": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _worpitzky_lhs,
+        "1 <= n <= n_max", _cases_n(1), lambda p: worpitzky_bernoulli(p["n"]),
         lambda p: bernoulli(p["n"])),
     "GEN_WORPITZKY": IdentityEntry(
         "3 <= n <= n_max, 1 <= j <= n-2",
@@ -477,7 +468,8 @@ CATALOG: dict[str, IdentityEntry] = {
     "BPINT": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2), _bpint_lhs, _zero),
     "HW_CAUCHY": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _hw_cauchy_lhs, _hw_cauchy_rhs),
+        "1 <= n <= n_max", _cases_n(1),
+        lambda p: bernoulli_reciprocal_sum(p["n"]), _hw_cauchy_rhs),
 }
 
 IDENTITY_IDS = tuple(CATALOG)

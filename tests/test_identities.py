@@ -1,7 +1,11 @@
+import functools
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
+from bernkit import classical, fps, identities, polybern
 from bernkit.identities import (CATALOG, IDENTITY_IDS, IdentityCase,
                                 IndeterminateRHS, SweepBounds, eval_identity,
                                 verify_all, verify_identity)
@@ -58,6 +62,20 @@ class TestSweeps:
         note = next(n for n in report.notes if "n-j=1" in n)
         assert "+1/2" in note and "29/29" in note
 
+    @pytest.mark.parametrize("n_max, lhs, verdict", [
+        (1, None, "; no case on this line was checked"),
+        (6, Fraction(-1, 2), "; the -1/2 convention is required on this line"),
+        (6, Fraction(0), "; neither convention closes every case on this line"),
+    ])
+    def test_convention_note_follows_the_counts(self, monkeypatch, n_max, lhs,
+                                                verdict):
+        if lhs is not None:
+            monkeypatch.setattr(identities, "_gen_worpitzky_lhs",
+                                lambda p: lhs)
+        note = identities._convention_note(SweepBounds(n_max=n_max))
+        assert note.endswith(verdict)
+        assert "+1/2 convention" not in note
+
     def test_j_bounds_restrict_domain(self):
         full = verify_identity("HOCKEY", SweepBounds(n_max=10))
         narrow = verify_identity("HOCKEY", SweepBounds(n_max=10, j_min=2,
@@ -111,3 +129,71 @@ def test_disjoint_routes_spot():
     # forms; a deliberate probe confirms the two sides are not aliases
     lhs, rhs = eval_identity(IdentityCase("WORPITZKY", {"n": 12}))
     assert lhs == rhs == Fraction(-691, 2730)
+
+
+# Functions each side may reach besides seqcore primitives: every function of
+# classical, fps (Egf's methods included) and polybern, and the identities
+# helpers that more than one entry calls.
+_ROUTE_HELPERS = ("_calB", "_hsq_sum", "_binomial_weighted_bern", "_agoh_rhs")
+# routes an id's two sides share on purpose (see the identities docstring)
+_SHARED_ROUTES = {"REDUCTION": {"_calB"}, "CUMSUM": {"bernoulli"},
+                  "EQ14": {"bernoulli"}}
+
+
+@pytest.fixture(scope="module")
+def routes():
+    """For each id, the set of route names its left and its right side
+    reach over all cases at small bounds, with the poly-Bernoulli cache
+    emptied first so that its fps route is reached too."""
+    mp = pytest.MonkeyPatch()
+    reached = [set()]  # the names the side being evaluated has reached
+
+    def wrap(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            reached[0].add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for mod in (classical, fps, polybern):
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, types.FunctionType)
+                    and obj.__module__ == mod.__name__):
+                wrappers[obj] = wrap(obj, name)
+    for name in _ROUTE_HELPERS:
+        fn = getattr(identities, name)
+        wrappers[fn] = wrap(fn, name)
+    # rebind every alias, since modules call through `from .x import f` names
+    for modname, mod in list(sys.modules.items()):
+        if modname == "bernkit" or modname.startswith("bernkit."):
+            for name, obj in list(vars(mod).items()):
+                if isinstance(obj, types.FunctionType) and obj in wrappers:
+                    mp.setattr(mod, name, wrappers[obj])
+    for name, obj in list(vars(fps.Egf).items()):
+        fn = getattr(obj, "__func__", obj)  # unwrap a staticmethod
+        if isinstance(fn, types.FunctionType):
+            wrapped = wrap(fn, f"Egf.{name}")
+            mp.setattr(fps.Egf, name,
+                       wrapped if fn is obj else staticmethod(wrapped))
+    mp.setattr(polybern, "_CACHE", {})
+
+    bounds = SweepBounds(n_max=6, m_max=3, rand_count=2)
+    out = {}
+    try:
+        for id, entry in CATALOG.items():
+            out[id] = []
+            for part in (entry.lhs, entry.rhs):
+                reached[0] = set()
+                for params in entry.cases(bounds):
+                    part(params)
+                out[id].append(reached[0])
+    finally:
+        mp.undo()
+    return out
+
+
+@pytest.mark.parametrize("id", IDENTITY_IDS)
+def test_sides_share_no_route(routes, id):
+    lhs, rhs = routes[id]
+    assert lhs & rhs == _SHARED_ROUTES.get(id, set())

@@ -25,6 +25,26 @@ def test_order_one_collapses_to_bernoulli_polynomials():
             assert poly_bernoulli(n, 1, x) == bernoulli_poly_at(n, x + 1)
 
 
+def _power_sum_route(order, p, x):
+    # sum_{k>=0} u^k/(k+1)^p with u = 1-e^{-t}, one power of u at a time,
+    # times e^{xt}: a route that never divides by u, as a reference
+    u = fps.sub(fps.Egf.one(order), fps.exp_t(order, -1))
+    out = power = fps.Egf.one(order)
+    for k in range(1, order + 1):
+        power = fps.mul(power, u)
+        out = fps.add(out, fps.scale(power, Fraction(1, (k + 1) ** p)))
+    return fps.mul(out, fps.exp_t(order, x))
+
+
+@pytest.mark.parametrize("p, x, order", [
+    (p, x, order)
+    for p, x in [(1, 0), (2, 0), (2, 1), (3, Fraction(-3, 2)), (5, Fraction(1, 2))]
+    for order in (8, 32)] + [(2, 1, 64)])
+def test_series_matches_power_sum_route(p, x, order):
+    assert (fps.named_series("polybern", order, p=p, x=x)
+            == _power_sum_route(order, p, x))
+
+
 def test_constant_term():
     for p in (1, 2, 3, 5):
         assert poly_bernoulli(0, p, 0) == 1
