@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fps import Egf
-from .seqcore import binom, binom_int, factorial, harmonic, stirling1, stirling2
+from .seqcore import (binom, binom_int, factorial, harmonic, stirling1,
+                      stirling2_transform)
 
 
 _BERN: list[Fraction] = [Fraction(1)]
@@ -71,11 +72,8 @@ def worpitzky_bernoulli(n: int) -> Fraction:
     """B_n from the alternating Stirling sum sum_k (-1)^k {n,k} k!/(k+1)."""
     if n < 1:
         raise ValueError("worpitzky_bernoulli requires n >= 1")
-    return sum(
-        ((-1) ** k * stirling2(n, k) * Fraction(factorial(k), k + 1)
-         for k in range(1, n + 1)),
-        Fraction(0),
-    )
+    return stirling2_transform(
+        n, lambda k: (-1) ** k * Fraction(factorial(k), k + 1))
 
 
 def bernoulli_poly(n: int) -> Egf:
@@ -158,9 +156,6 @@ def hw(n: int, x) -> Fraction:
     if n < 1:
         raise ValueError("hw requires n >= 1")
     x = Fraction(x)
-    return sum(
-        (stirling2(n, k) * binom(x, k) * factorial(k) * harmonic(k)
-         for k in range(1, n + 1)),
-        Fraction(0),
-    )
+    return stirling2_transform(
+        n, lambda k: binom(x, k) * factorial(k) * harmonic(k))
 

@@ -148,7 +148,7 @@ def _cmd_compute(args) -> int:
             "cauchy1": classical.cauchy1,
             "harmonic": seqcore.harmonic,
             "dibernoulli": polybern.dibernoulli,
-            "hw": lambda n: classical.hw(max(n, 1), args.x) if n >= 1 else None,
+            "hw": lambda n: classical.hw(n, args.x) if n >= 1 else None,
             "poly_bernoulli": lambda n: polybern.poly_bernoulli(n, args.p, args.x),
         }
         fn = fns[name]

@@ -141,12 +141,16 @@ def polylog_series(p: int, f: Egf) -> Egf:
     if f.coeffs[0] != 0:
         raise ValueError("polylog_series requires zero constant term")
     n = f.order
-    out = Egf.zero(n)
-    power = Egf.one(n)
+    out = [Fraction(0)] * (n + 1)
+    power = f
     for k in range(1, n + 1):
-        power = mul(power, f)
-        out = add(out, scale(power, Fraction(1, k**p)))
-    return out
+        c = Fraction(1, k**p)
+        for i, a in enumerate(power.coeffs):
+            if a:
+                out[i] += a * c
+        if k < n:
+            power = mul(power, f)
+    return Egf(out)
 
 
 def sqrt_one_minus_4t(order: int) -> Egf:
@@ -162,8 +166,8 @@ def exp_t(order: int, rate: RatLike = 1) -> Egf:
 
 def _stirling2_egf(order: int, k: int) -> Egf:
     em1 = sub(exp_t(order), Egf.one(order))
-    power = Egf.one(order)
-    for _ in range(k):
+    power = em1 if k else Egf.one(order)
+    for _ in range(k - 1):
         power = mul(power, em1)
     return scale(power, Fraction(1, factorial(k)))
 

@@ -3,7 +3,8 @@
 Each catalog entry carries an explicit case generator (the domain predicate
 made concrete), a left side computed by direct summation over the base
 sequences, and a right side computed through the cached closed forms, so a
-transcription slip on either side surfaces as a sweep failure. Most entries'
+transcription slip on either side surfaces as a sweep failure. Both sides
+take a case's parameters as keywords: `entry.lhs(**params)`. Most entries'
 sides share only seqcore primitives. The exceptions are CUMSUM and EQ14,
 which call `bernoulli` on both sides, and REDUCTION, which calls `_calB` on
 both sides: an error in those shared routes cancels there.
@@ -13,7 +14,11 @@ side reaches.
 The paper's convolution sum_k (-1)^(k-j) {n,k} [k,j] weight(k) is written
 once, in `_calB`. MAIN's left side, both sides of REDUCTION and the right
 side of POLYX_COEFFS read it with the default weight H_k; GEN_WORPITZKY's
-left side reads it with weight 1/k.
+left side reads it with weight 1/k. The Stirling transform
+`seqcore.stirling2_transform` serves one side of WORPITZKY, H1, H2,
+K3SPECIAL and HSQ_BRIDGE (left, through `worpitzky_bernoulli` or
+`_hsq_sum`), and of POLYX, EQ14 and HW_CAUCHY (right, through `hw`,
+`_hsq_sum` or directly).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .classical import (bernoulli, bernoulli_poly_at, bernoulli_reciprocal_sum,
                         worpitzky_bernoulli)
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, stirling1,
-                      stirling2)
+                      stirling2, stirling2_transform)
 
 Params = dict[str, int | Fraction]
 
@@ -99,54 +104,38 @@ def _calB(n: int, j: int,
 
 
 def _hsq_sum(n: int) -> Fraction:
-    return sum(
-        ((-1) ** (n - k) * stirling2(n, k) * factorial(k) * harmonic(k) ** 2
-         for k in range(1, n + 1)),
-        Fraction(0),
-    )
+    return stirling2_transform(
+        n, lambda k: (-1) ** (n - k) * factorial(k) * harmonic(k) ** 2)
 
 
 # --- per-identity lhs/rhs evaluators ---------------------------------------
 
-def _main_lhs(p: Params) -> Fraction:
-    return _calB(p["n"], p["j"])
-
-
-def _main_rhs(p: Params) -> Fraction:
-    n, j = p["n"], p["j"]
+def _main_rhs(n: int, j: int) -> Fraction:
     if j == n:
         raise IndeterminateRHS(
             "RHS (binom(n,n)-1)*B_0/0 is indeterminate at j=n; LHS equals H_n")
     return (binom_int(n, j) - 1) * bernoulli(n - j) / (n - j)
 
 
-def _gen_worpitzky_lhs(p: Params) -> Fraction:
-    return _calB(p["n"], p["j"], lambda k: Fraction(1, k))
+def _gen_worpitzky_lhs(n: int, j: int) -> Fraction:
+    return _calB(n, j, lambda k: Fraction(1, k))
 
 
-def _gen_worpitzky_rhs(p: Params) -> Fraction:
-    n, j = p["n"], p["j"]
-    return binom_int(n - 1, j) * bernoulli(n - j) / (n - j)
+def _h1_lhs(n: int) -> Fraction:
+    return stirling2_transform(
+        n, lambda k: (-1) ** (k - 1) * factorial(k - 1) * harmonic(k))
 
 
-def _h1_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum(((-1) ** (k - 1) * stirling2(n, k) * factorial(k - 1) * harmonic(k)
-                for k in range(1, n + 1)), Fraction(0))
+def _h2_lhs(n: int) -> Fraction:
+    return stirling2_transform(
+        n, lambda k: (-1) ** k * factorial(k - 1) * harmonic(k - 1)
+        * harmonic(k), lo=2)
 
 
-def _h2_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum(((-1) ** k * stirling2(n, k) * factorial(k - 1)
-                * harmonic(k - 1) * harmonic(k)
-                for k in range(2, n + 1)), Fraction(0))
-
-
-def _k3_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum(((-1) ** (k - 1) * stirling2(n, k) * factorial(k - 1)
-                * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k)
-                for k in range(3, n + 1)), Fraction(0))
+def _k3_lhs(n: int) -> Fraction:
+    return stirling2_transform(
+        n, lambda k: (-1) ** (k - 1) * factorial(k - 1)
+        * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k), lo=3)
 
 
 def _binomial_weighted_bern(n: int, weight: Callable[[int], Fraction | int],
@@ -156,169 +145,45 @@ def _binomial_weighted_bern(n: int, weight: Callable[[int], Fraction | int],
                 for j in range(1, n + 1)), Fraction(0))
 
 
-def _polyx_lhs(p: Params) -> Fraction:
-    n, x = p["n"], Fraction(p["x"])
-    return _binomial_weighted_bern(n, lambda j: x ** (n - j))
-
-
-def _polyx_rhs(p: Params) -> Fraction:
-    n, x = p["n"], Fraction(p["x"])
-    return hw(n, x) - harmonic(n) * x ** n
-
-
-def _polyx_coeff_lhs(p: Params) -> Fraction:
-    n, i = p["n"], p["coeff"]
-    j = n - i
+def _polyx_coeff_lhs(n: int, coeff: int) -> Fraction:
+    j = n - coeff
     if j < 1:
         return Fraction(0)
     return (binom_int(n, j) - 1) * bernoulli(j) / j
 
 
-def _polyx_coeff_rhs(p: Params) -> Fraction:
-    # x^i coefficient of hw(n, x) - H_n x^n as a polynomial in x, since
+def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
+    # x^coeff coefficient of hw(n, x) - H_n x^n as a polynomial in x, since
     # k! binom(x, k) = sum_i (-1)^(k-i) [k,i] x^i
-    n, i = p["n"], p["coeff"]
-    return _calB(n, i) - (harmonic(n) if i == n else 0)
+    return _calB(n, coeff) - (harmonic(n) if coeff == n else 0)
 
 
-def _agoh_lhs(p: Params) -> Fraction:
-    n, m = p["n"], p["m"]
-    return _binomial_weighted_bern(n, lambda j: m ** (n - j))
-
-
-def _agoh_rhs(p: Params) -> Fraction:
-    n, m = p["n"], p["m"]
+def _agoh_rhs(n: int, m: int) -> Fraction:
     return Fraction(m) ** n * (harmonic(m) - harmonic(n)) - sum(
         (Fraction((m - j) ** n, j) for j in range(1, m + 1)), Fraction(0))
 
 
-def _agoh_alt_lhs(p: Params) -> Fraction:
-    n, m = p["n"], p["m"]
-    return _binomial_weighted_bern(n, lambda j: (-1) ** j * m ** (n - j))
-
-
-def _agoh_alt_rhs(p: Params) -> Fraction:
-    n, m = p["n"], p["m"]
-    return _agoh_rhs(p) + m ** (n - 1) * (n - 1)
-
-
-def _agoh_m1_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], lambda j: (-1) ** j)
-
-
-def _agoh_m1_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return n - harmonic(n)
-
-
-def _agoh_combine_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], lambda j: 1 - Fraction(1, 2**j))
-
-
-def _agoh_combine_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return Fraction(1 - 2 ** (n - 1), 2**n)
-
-
-def _rec16_lhs(p: Params) -> Fraction:
-    return _binomial_weighted_bern(p["n"], lambda j: 1 - 2**j, shift=1)
-
-
-def _rec16_euler_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum(((binom_int(n, j) + 1) * euler_number(j - 1) / 2
-                for j in range(1, n + 1)), Fraction(0))
-
-
-def _one(p: Params) -> Fraction:
-    return Fraction(1)
-
-
-def _agoh_eq11_lhs(p: Params) -> Fraction:
-    m, z = p["m"], Fraction(p["z"])
+def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
+    z = Fraction(z)
     return sum((binom_int(m, k) * harmonic(k) * (z - 1) ** k
                 for k in range(1, m + 1)), Fraction(0))
 
 
-def _agoh_eq11_rhs(p: Params) -> Fraction:
-    m, z = p["m"], Fraction(p["z"])
+def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
+    z = Fraction(z)
     return harmonic(m) * z**m - sum(
         (z**k / (m - k) for k in range(m)), Fraction(0))
 
 
-def _cumsum_lhs(p: Params) -> Fraction:
-    return bernoulli_sum(p["n"])
-
-
-def _cumsum_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return dibernoulli_at_one(n) + bernoulli(n) - dibernoulli(n) - 1
-
-
-def _eq14_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return _hsq_sum(n) + bernoulli_poly_at(n, 1) + n - n * n - 1
-
-
-def _hsq_bridge_lhs(p: Params) -> Fraction:
-    return _hsq_sum(p["n"])
-
-
-def _hsq_bridge_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return dibernoulli_at_one(n) - dibernoulli(n) + n * (n - 1)
-
-
-def _hockey_lhs(p: Params) -> Fraction:
-    n, j = p["n"], p["j"]
-    return Fraction(sum(binom_int(n - k, j - k) for k in range(j)))
-
-
-def _hockey_rhs(p: Params) -> Fraction:
-    return Fraction(binom_int(p["n"] + 1, p["j"]) - 1)
-
-
-def _reduction_lhs(p: Params) -> Fraction:
-    return _calB(p["n"] + 1, p["j"])
-
-
-def _reduction_rhs(p: Params) -> Fraction:
-    n, j = p["n"], p["j"]
-    return _calB(n, j - 1) + binom_int(n, j) * bernoulli(n + 1 - j) / (n + 1 - j)
-
-
-def _stirl20_lhs(p: Params) -> Fraction:
-    return Fraction(stirling1(p["k"], p["part"]))
-
-
-def _stirl20_rhs(p: Params) -> Fraction:
-    k = p["k"]
-    if p["part"] == 1:
-        return Fraction(factorial(k - 1))
-    return factorial(k - 1) * harmonic(k - 1)
-
-
-def _bpint_lhs(p: Params) -> Fraction:
-    n = p["n"]
-    return sum((binom_int(n, j) * bernoulli(j) / (n - j + 1)
-                for j in range(n + 1)), Fraction(0))
-
-
-def _zero(p: Params) -> Fraction:
-    return Fraction(0)
-
-
-def _hw_cauchy_rhs(p: Params) -> Fraction:
-    n = p["n"]
-    return 1 - (n + 1) * sum(
-        (stirling2(n, k) * cauchy1(k) * harmonic(k) for k in range(1, n + 1)),
-        Fraction(0))
+def _hw_cauchy_rhs(n: int) -> Fraction:
+    return 1 - (n + 1) * stirling2_transform(
+        n, lambda k: cauchy1(k) * harmonic(k))
 
 
 def _convention_note(bounds: SweepBounds) -> str:
     """Brute-force finding for Eq-(4)-style identity on the n-j=1 line, where
     the right side reduces to B_1."""
-    lhs = [_gen_worpitzky_lhs({"n": n, "j": n - 1})
+    lhs = [_gen_worpitzky_lhs(n, n - 1)
            for n in range(2, min(bounds.n_max, 30) + 1)]
     total = len(lhs)
     plus, minus = lhs.count(Fraction(1, 2)), lhs.count(Fraction(-1, 2))
@@ -400,76 +265,110 @@ def _cases_stirl20(b: SweepBounds) -> Iterable[Params]:
 
 @dataclass(frozen=True)
 class IdentityEntry:
+    """One identity: its domain, its case generator, and its two sides,
+    each called with a case's parameters as keywords."""
     domain: str
     cases: Callable[[SweepBounds], Iterable[Params]]
-    lhs: Callable[[Params], Fraction]
-    rhs: Callable[[Params], Fraction]
+    lhs: Callable[..., Fraction]
+    rhs: Callable[..., Fraction]
     note: Callable[[SweepBounds], str] | None = None
 
 
+# Layer functions and shared helpers are called from lambdas, never stored
+# bare, so that every call goes through a module-level name that a tracer
+# can rebind.
 CATALOG: dict[str, IdentityEntry] = {
     "MAIN": IdentityEntry(
         "1 <= n <= n_max, 0 <= j <= n-1",
-        _cases_main, _main_lhs, _main_rhs,
+        _cases_main, lambda n, j: _calB(n, j), _main_rhs,
         note=lambda b: "j=n excluded: RHS (binom(n,n)-1)*B_0/0 is "
                        "indeterminate; LHS there equals H_n"),
     "WORPITZKY": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), lambda p: worpitzky_bernoulli(p["n"]),
-        lambda p: bernoulli(p["n"])),
+        "1 <= n <= n_max", _cases_n(1), lambda n: worpitzky_bernoulli(n),
+        lambda n: bernoulli(n)),
     "GEN_WORPITZKY": IdentityEntry(
         "3 <= n <= n_max, 1 <= j <= n-2",
-        _cases_gen_worpitzky, _gen_worpitzky_lhs, _gen_worpitzky_rhs,
+        _cases_gen_worpitzky, _gen_worpitzky_lhs,
+        lambda n, j: binom_int(n - 1, j) * bernoulli(n - j) / (n - j),
         note=_convention_note),
     "H1": IdentityEntry(
-        "2 <= n <= n_max", _cases_n(2), _h1_lhs,
-        lambda p: bernoulli(p["n"] - 1)),
+        "2 <= n <= n_max", _cases_n(2), _h1_lhs, lambda n: bernoulli(n - 1)),
     "H2": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2), _h2_lhs,
-        lambda p: Fraction(p["n"] + 1, 2) * bernoulli(p["n"] - 2)),
+        lambda n: Fraction(n + 1, 2) * bernoulli(n - 2)),
     "K3SPECIAL": IdentityEntry(
         "4 <= n <= n_max", _cases_n(4), _k3_lhs,
-        lambda p: Fraction(p["n"] ** 2 + 2, 3) * bernoulli(p["n"] - 3)),
+        lambda n: Fraction(n**2 + 2, 3) * bernoulli(n - 3)),
     "POLYX": IdentityEntry(
         "1 <= n <= n_max, random nonzero rational x",
-        _cases_polyx, _polyx_lhs, _polyx_rhs),
+        _cases_polyx,
+        lambda n, x: _binomial_weighted_bern(
+            n, lambda j: Fraction(x) ** (n - j)),
+        lambda n, x: hw(n, x) - harmonic(n) * Fraction(x) ** n),
     "POLYX_COEFFS": IdentityEntry(
         "1 <= n <= n_max, coefficientwise in x",
         _cases_polyx_coeffs, _polyx_coeff_lhs, _polyx_coeff_rhs),
     "AGOH": IdentityEntry(
-        "1 <= n <= n_max, 1 <= m <= m_max",
-        _cases_nm, _agoh_lhs, _agoh_rhs),
+        "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
+        lambda n, m: _binomial_weighted_bern(n, lambda j: m ** (n - j)),
+        lambda n, m: _agoh_rhs(n, m)),
     "AGOH_ALT": IdentityEntry(
-        "1 <= n <= n_max, 1 <= m <= m_max",
-        _cases_nm, _agoh_alt_lhs, _agoh_alt_rhs),
+        "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
+        lambda n, m: _binomial_weighted_bern(
+            n, lambda j: (-1) ** j * m ** (n - j)),
+        lambda n, m: _agoh_rhs(n, m) + m ** (n - 1) * (n - 1)),
     "AGOH_M1": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _agoh_m1_lhs, _agoh_m1_rhs),
+        "1 <= n <= n_max", _cases_n(1),
+        lambda n: _binomial_weighted_bern(n, lambda j: (-1) ** j),
+        lambda n: n - harmonic(n)),
     "AGOH_COMBINE": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _agoh_combine_lhs, _agoh_combine_rhs),
+        "1 <= n <= n_max", _cases_n(1),
+        lambda n: _binomial_weighted_bern(n, lambda j: 1 - Fraction(1, 2**j)),
+        lambda n: Fraction(1 - 2 ** (n - 1), 2**n)),
     "REC16": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _rec16_lhs, _one),
+        "1 <= n <= n_max", _cases_n(1),
+        lambda n: _binomial_weighted_bern(n, lambda j: 1 - 2**j, shift=1),
+        lambda n: Fraction(1)),
     "REC16_EULER": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _rec16_euler_lhs, _one),
+        "1 <= n <= n_max", _cases_n(1),
+        lambda n: sum(((binom_int(n, j) + 1) * euler_number(j - 1) / 2
+                       for j in range(1, n + 1)), Fraction(0)),
+        lambda n: Fraction(1)),
     "AGOH_EQ11": IdentityEntry(
         "1 <= m <= m_max, random rational z",
         _cases_eq11, _agoh_eq11_lhs, _agoh_eq11_rhs),
     "CUMSUM": IdentityEntry(
-        "2 <= n <= n_max", _cases_n(2), _cumsum_lhs, _cumsum_rhs),
+        "2 <= n <= n_max", _cases_n(2), lambda n: bernoulli_sum(n),
+        lambda n: (dibernoulli_at_one(n) + bernoulli(n) - dibernoulli(n)
+                   - 1)),
     "EQ14": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _cumsum_lhs, _eq14_rhs),
+        "1 <= n <= n_max", _cases_n(1), lambda n: bernoulli_sum(n),
+        lambda n: _hsq_sum(n) + bernoulli_poly_at(n, 1) + n - n * n - 1),
     "HSQ_BRIDGE": IdentityEntry(
-        "1 <= n <= n_max", _cases_n(1), _hsq_bridge_lhs, _hsq_bridge_rhs),
+        "1 <= n <= n_max", _cases_n(1), lambda n: _hsq_sum(n),
+        lambda n: dibernoulli_at_one(n) - dibernoulli(n) + n * (n - 1)),
     "HOCKEY": IdentityEntry(
-        "1 <= j <= n <= n_max", _cases_nj(1), _hockey_lhs, _hockey_rhs),
+        "1 <= j <= n <= n_max", _cases_nj(1),
+        lambda n, j: Fraction(sum(binom_int(n - k, j - k) for k in range(j))),
+        lambda n, j: Fraction(binom_int(n + 1, j) - 1)),
     "REDUCTION": IdentityEntry(
-        "1 <= j <= n <= n_max", _cases_nj(1), _reduction_lhs, _reduction_rhs),
+        "1 <= j <= n <= n_max", _cases_nj(1),
+        lambda n, j: _calB(n + 1, j),
+        lambda n, j: (_calB(n, j - 1)
+                      + binom_int(n, j) * bernoulli(n + 1 - j) / (n + 1 - j))),
     "STIRL20": IdentityEntry(
-        "1 <= k <= n_max, parts 1 and 2",
-        _cases_stirl20, _stirl20_lhs, _stirl20_rhs),
+        "1 <= k <= n_max, parts 1 and 2", _cases_stirl20,
+        lambda k, part: Fraction(stirling1(k, part)),
+        lambda k, part: (Fraction(factorial(k - 1))
+                         * (1 if part == 1 else harmonic(k - 1)))),
     "BPINT": IdentityEntry(
-        "2 <= n <= n_max", _cases_n(2), _bpint_lhs, _zero),
+        "2 <= n <= n_max", _cases_n(2),
+        lambda n: sum((binom_int(n, j) * bernoulli(j) / (n - j + 1)
+                       for j in range(n + 1)), Fraction(0)),
+        lambda n: Fraction(0)),
     "HW_CAUCHY": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda p: bernoulli_reciprocal_sum(p["n"]), _hw_cauchy_rhs),
+        lambda n: bernoulli_reciprocal_sum(n), _hw_cauchy_rhs),
 }
 
 IDENTITY_IDS = tuple(CATALOG)
@@ -478,7 +377,7 @@ IDENTITY_IDS = tuple(CATALOG)
 def eval_identity(case: IdentityCase) -> tuple[Fraction, Fraction]:
     """Evaluate both sides of one identity case exactly."""
     entry = CATALOG[case.id]
-    return entry.lhs(case.params), entry.rhs(case.params)
+    return entry.lhs(**case.params), entry.rhs(**case.params)
 
 
 def _param_key(params: Params):
@@ -499,8 +398,8 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
         report.cases += 1
         lhs = rhs = None
         try:
-            lhs = entry.lhs(params)
-            rhs = entry.rhs(params)
+            lhs = entry.lhs(**params)
+            rhs = entry.rhs(**params)
         except IndeterminateRHS as exc:
             report.notes.append(f"{params}: {exc}")
         except Exception as exc:  # one broken case must not end the sweep

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fps
-from .seqcore import factorial, stirling2
+from .seqcore import factorial, stirling2_transform
 
 _CACHE: dict[tuple[int, Fraction], list[Fraction]] = {}
 
@@ -52,9 +52,6 @@ def stirling_sum_oracle(n: int, p: int) -> Fraction:
     """
     if n < 0 or p < 1:
         raise ValueError("oracle requires n >= 0 and p >= 1")
-    return sum(
-        (Fraction((-1) ** (m + n) * factorial(m) * stirling2(n, m),
-                  (m + 1) ** p)
-         for m in range(n + 1)),
-        Fraction(0),
-    )
+    return stirling2_transform(
+        n, lambda m: Fraction((-1) ** (m + n) * factorial(m), (m + 1) ** p),
+        lo=0)

@@ -1,5 +1,5 @@
 """Exact base sequences: Stirling numbers of both kinds, harmonic numbers,
-factorials and binomial coefficients.
+factorials and binomial coefficients, and the Stirling transform.
 
 All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 _S2: list[list[int]] = [[1]]  # _S2[n][k] = {n,k}
 _S1: list[list[int]] = [[1]]  # _S1[n][k] = [n,k]
@@ -43,6 +44,14 @@ def stirling2(n: int, k: int) -> int:
         return 0
     _grow_stirling(n)
     return _S2[n][k]
+
+
+def stirling2_transform(n: int, weight: Callable[[int], Fraction | int],
+                        lo: int = 1) -> Fraction:
+    """The Stirling transform sum_{k=lo..n} {n,k} weight(k) (Bernstein &
+    Sloane, "Some canonical sequences of integers", 1995)."""
+    return sum((stirling2(n, k) * weight(k) for k in range(lo, n + 1)),
+               Fraction(0))
 
 
 def stirling1(n: int, k: int) -> int:

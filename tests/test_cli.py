@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -138,8 +139,7 @@ class TestVerify:
         entry = CATALOG["H2"]
         monkeypatch.setitem(
             CATALOG, "H2",
-            type(entry)(entry.domain, entry.cases, entry.lhs,
-                        lambda p: entry.rhs(p) + 1))
+            dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
         code, payload = run_json(capsys, "verify", "H2", "--n-max", "10",
                                  "--no-meta")
         assert code == 1
@@ -153,8 +153,7 @@ def test_sweep_payload_is_the_no_meta_json(capsys, monkeypatch):
     entry = CATALOG["H2"]
     monkeypatch.setitem(
         CATALOG, "H2",
-        type(entry)(entry.domain, entry.cases, entry.lhs,
-                    lambda p: entry.rhs(p) + 1))
+        dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
     monkeypatch.setattr(congr, "harmonic", lambda n: harmonic(n) + 1)
     reports = identities.verify_all(identities.SweepBounds(n_max=10), ["H2"])
     congruence = congr.prime_sweep(["BABBAGE"], 13)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 import types
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit import classical, fps, identities, polybern
+from bernkit import classical, fps, identities, polybern, seqcore
 from bernkit.identities import (CATALOG, IDENTITY_IDS, IdentityCase,
                                 IndeterminateRHS, SweepBounds, eval_identity,
                                 verify_all, verify_identity)
@@ -71,7 +72,7 @@ class TestSweeps:
                                                 verdict):
         if lhs is not None:
             monkeypatch.setattr(identities, "_gen_worpitzky_lhs",
-                                lambda p: lhs)
+                                lambda n, j: lhs)
         note = identities._convention_note(SweepBounds(n_max=n_max))
         assert note.endswith(verdict)
         assert "+1/2 convention" not in note
@@ -96,26 +97,23 @@ class TestSweeps:
         entry = CATALOG["H1"]
         monkeypatch.setitem(
             CATALOG, "H1",
-            type(entry)(entry.domain, entry.cases, entry.lhs,
-                        lambda p: entry.rhs(p) + 1))
+            dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
         report = verify_identity("H1", SweepBounds(n_max=10))
         assert len(report.failures) == report.cases == 9
 
     def test_raising_case_is_recorded_and_sweep_continues(self, monkeypatch):
         entry = CATALOG["H1"]
 
-        def rhs(p):
-            if p["n"] == 5:
+        def rhs(n):
+            if n == 5:
                 raise ZeroDivisionError("probe")
-            return entry.rhs(p)
+            return entry.rhs(n=n)
 
-        monkeypatch.setitem(
-            CATALOG, "H1",
-            type(entry)(entry.domain, entry.cases, entry.lhs, rhs))
+        monkeypatch.setitem(CATALOG, "H1", dataclasses.replace(entry, rhs=rhs))
         report = verify_identity("H1", SweepBounds(n_max=10))
         assert report.cases == 9
         assert report.failures == [{"id": "H1", "params": {"n": 5},
-                                    "lhs": entry.lhs({"n": 5}), "rhs": None}]
+                                    "lhs": entry.lhs(n=5), "rhs": None}]
         assert report.notes == ["{'n': 5}: ZeroDivisionError: probe"]
 
     def test_verify_all_covers_catalog(self):
@@ -131,11 +129,13 @@ def test_disjoint_routes_spot():
     assert lhs == rhs == Fraction(-691, 2730)
 
 
-# Functions each side may reach besides seqcore primitives: every function of
-# classical, fps (Egf's methods included) and polybern, and the identities
-# helpers that more than one entry calls.
+# Functions each side may reach besides seqcore's table lookups: every
+# function of classical, fps (Egf's methods included) and polybern, the
+# shared seqcore sum `stirling2_transform`, and the identities helpers that
+# more than one entry calls.
 _ROUTE_HELPERS = ("_calB", "_hsq_sum", "_binomial_weighted_bern", "_agoh_rhs")
-# routes an id's two sides share on purpose (see the identities docstring)
+# routes an id's two sides share on purpose (see the identities docstring);
+# REDUCTION also shares whatever `_calB` itself reaches
 _SHARED_ROUTES = {"REDUCTION": {"_calB"}, "CUMSUM": {"bernoulli"},
                   "EQ14": {"bernoulli"}}
 
@@ -144,7 +144,8 @@ _SHARED_ROUTES = {"REDUCTION": {"_calB"}, "CUMSUM": {"bernoulli"},
 def routes():
     """For each id, the set of route names its left and its right side
     reach over all cases at small bounds, with the poly-Bernoulli cache
-    emptied first so that its fps route is reached too."""
+    emptied first so that its fps route is reached too. The key "_calB"
+    holds the names `_calB` reaches."""
     mp = pytest.MonkeyPatch()
     reached = [set()]  # the names the side being evaluated has reached
 
@@ -164,6 +165,8 @@ def routes():
     for name in _ROUTE_HELPERS:
         fn = getattr(identities, name)
         wrappers[fn] = wrap(fn, name)
+    wrappers[seqcore.stirling2_transform] = wrap(seqcore.stirling2_transform,
+                                                 "stirling2_transform")
     # rebind every alias, since modules call through `from .x import f` names
     for modname, mod in list(sys.modules.items()):
         if modname == "bernkit" or modname.startswith("bernkit."):
@@ -186,8 +189,13 @@ def routes():
             for part in (entry.lhs, entry.rhs):
                 reached[0] = set()
                 for params in entry.cases(bounds):
-                    part(params)
+                    part(**params)
                 out[id].append(reached[0])
+        reached[0] = set()
+        for n in range(bounds.n_max + 1):
+            for j in range(n + 1):
+                identities._calB(n, j)
+        out["_calB"] = reached[0]
     finally:
         mp.undo()
     return out
@@ -196,4 +204,17 @@ def routes():
 @pytest.mark.parametrize("id", IDENTITY_IDS)
 def test_sides_share_no_route(routes, id):
     lhs, rhs = routes[id]
-    assert lhs & rhs == _SHARED_ROUTES.get(id, set())
+    shared = set(_SHARED_ROUTES.get(id, ()))
+    if "_calB" in shared:
+        shared |= routes["_calB"]
+    assert lhs & rhs == shared
+
+
+def test_evaluators_are_not_bare_layer_functions():
+    # The route test above and the perfbench tracer see a call only through
+    # a rebound module name; a layer function stored bare in an entry would
+    # be called past both.
+    layers = {mod.__name__ for mod in (classical, fps, polybern, seqcore)}
+    for id, entry in CATALOG.items():
+        for part in (entry.lhs, entry.rhs):
+            assert part.__module__ not in layers, (id, part)

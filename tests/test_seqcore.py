@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from bernkit import seqcore
 from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
-                             harmonic_gen, stirling1, stirling2)
+                             harmonic_gen, stirling1, stirling2,
+                             stirling2_transform)
 
 
 def count_set_partitions(n, k):
@@ -134,6 +135,22 @@ def test_stirling_inversion():
             total = sum((-1) ** (n - k) * stirling2(n, k) * rising_factorial(x, k)
                         for k in range(n + 1))
             assert total == x**n
+
+
+class TestStirling2Transform:
+    def test_powers_from_falling_factorials(self):
+        # x^n = sum_k {n,k} k! binom(x, k), with binom as an independent route
+        rng = random.Random(20240826)
+        for n in range(41):
+            for _ in range(3):
+                x = Fraction(rng.randint(-24, 24), rng.randint(1, 12))
+                assert stirling2_transform(
+                    n, lambda k: factorial(k) * binom(x, k), lo=0) == x**n
+
+    def test_lo_zero_at_n_zero_is_weight_of_zero(self):
+        assert stirling2_transform(0, lambda k: Fraction(7, 3) + k,
+                                   lo=0) == Fraction(7, 3)
+        assert stirling2_transform(0, lambda k: 1) == 0
 
 
 def test_hockey_stick():
