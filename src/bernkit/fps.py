@@ -199,12 +199,21 @@ def _euler_poly_egf(order: int, x: RatLike) -> Egf:
 
 
 def _poly_bernoulli_egf(order: int, p: int, x: RatLike) -> Egf:
-    # Li_p(u)/u with u = 1-e^{-t}, times e^{xt}. Li_p(u) and u are built one
-    # order higher, so that both quotients by t keep `order` and the
-    # division by u is (Li_p(u)/t) * inv(u/t).
-    u = sub(Egf.one(order + 1), exp_t(order + 1, -1))
-    li_over_t = Egf(polylog_series(p, u).coeffs[1:])
-    return mul(mul(li_over_t, inv(Egf(u.coeffs[1:]))), exp_t(order, x))
+    # Li_p(u)/u = sum_{k>=0} u^k/(k+1)^p with u = 1-e^{-t}, times e^{xt}.
+    # row[k] is the integer c^k_n = n! [t^n] u^k, zero for k > n. Since
+    # u' = 1 - u, (u^k)' = k(u^{k-1} - u^k), so c^k_{n+1} = k(c^{k-1}_n - c^k_n)
+    # from c^0_0 = 1. A build is O(order^2) integer steps and Fraction sums
+    # whatever p is, and divides by u without an inverse. It forms no power
+    # of u and reads no Stirling table: stirling_sum_oracle checks it.
+    weights = [Fraction(1, (k + 1) ** p) for k in range(order + 1)]
+    row = [1]
+    coeffs = []
+    for n in range(order + 1):
+        coeffs.append(sum(map(Fraction.__mul__, weights, row), Fraction(0))
+                      / factorial(n))
+        row = [0, *(k * (row[k - 1] - row[k]) for k in range(1, n + 1)),
+               (n + 1) * row[n]]
+    return mul(Egf(coeffs), exp_t(order, x))
 
 
 _SERIES = {

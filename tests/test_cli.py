@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,18 @@ def test_values_past_the_int_str_digit_limit(capsys):
                              "--n-max", "1", "--p", "15000", "--no-meta")
     assert code == 0
     assert payload["values"][1] == "1/" + str(2**15000)
+
+
+def test_python_m_bernkit_runs_the_cli(capsys):
+    argv = ["compute", "bernoulli", "--n-max", "3", "--no-meta"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bernkit", *argv],
+                          capture_output=True, env=env, timeout=60)
+    code, out = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_usage_error_exit_code():

@@ -1,10 +1,12 @@
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bernkit import fps, polybern
+from bernkit import classical, fps, polybern, seqcore
 from bernkit.classical import bernoulli, bernoulli_poly_at
 from bernkit.polybern import (dibernoulli, dibernoulli_at_one, poly_bernoulli,
                               stirling_sum_oracle)
@@ -39,10 +41,54 @@ def _power_sum_route(order, p, x):
 @pytest.mark.parametrize("p, x, order", [
     (p, x, order)
     for p, x in [(1, 0), (2, 0), (2, 1), (3, Fraction(-3, 2)), (5, Fraction(1, 2))]
-    for order in (8, 32)] + [(2, 1, 64)])
+    for order in (8, 32)] + [(2, 1, 64), (3, Fraction(-24, 11), 100),
+                             (40, 0, 12), (1000, 5, 6)])
 def test_series_matches_power_sum_route(p, x, order):
     assert (fps.named_series("polybern", order, p=p, x=x)
             == _power_sum_route(order, p, x))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 16),
+       st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12)))
+def test_series_matches_power_sum_route_property(p, order, x):
+    assert (fps.named_series("polybern", order, p=p, x=x)
+            == _power_sum_route(order, p, x))
+
+
+def test_series_reads_no_stirling_or_bernoulli_route(monkeypatch):
+    # stirling_sum_oracle (a Stirling transform) checks this builder, and
+    # HSQ_BRIDGE sets it against _hsq_sum (another): the builder must
+    # reach none of those routes, nor classical.bernoulli (CUMSUM's left
+    # side), under any name a bernkit module binds them to.
+    want = fps.named_series("polybern", 40, p=3, x=Fraction(-3, 2))
+    routes = (seqcore.stirling1, seqcore.stirling2,
+              seqcore.stirling2_transform, classical.bernoulli)
+
+    def checked_route(*args, **kwargs):
+        raise AssertionError("the polybern builder read a checked route")
+
+    for name, module in list(sys.modules.items()):
+        if name == "bernkit" or name.startswith("bernkit."):
+            for attr, value in list(vars(module).items()):
+                if any(value is route for route in routes):
+                    monkeypatch.setattr(module, attr, checked_route)
+    assert fps.named_series("polybern", 40, p=3, x=Fraction(-3, 2)) == want
+
+
+def test_build_cost_in_series_products_does_not_grow_with_order(monkeypatch):
+    # a build costs O(order^2) through a fixed number of series products;
+    # forming each power of u by a product would make it O(order^3)
+    calls = []
+    mul = fps.mul
+    monkeypatch.setattr(fps, "mul", lambda a, b: calls.append(1) or mul(a, b))
+
+    def products(order):
+        calls.clear()
+        fps.named_series("polybern", order, p=2, x=1)
+        return len(calls)
+
+    assert products(16) == products(100)
 
 
 def test_constant_term():
