@@ -14,47 +14,34 @@ from .seqcore import (binom, binom_int, factorial, harmonic, stirling1,
 
 
 _BERN: list[Fraction] = [Fraction(1)]
+# Brent & Harvey's TangentNumbers recurrence (arXiv:1108.0286), one column at
+# a time: _TAN[i] is t_j after pass i + 1 for j = len(_TAN), so _TAN[-1] is
+# the tangent number T_j. B_2j is computed from T_j, so
+# len(_TAN) == (len(_BERN) - 1) // 2; empty both together, never one alone.
+_TAN: list[int] = []
 _EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
 _EULER_POLYS: list[Egf] = [Egf([1])]
 
 
-def _tangent_numbers(k_max: int) -> list[int]:
-    """[0, T_1, ..., T_k_max] for k_max >= 1: the tangent numbers
-    (1, 2, 16, 272, ...), by the in-place integer recurrence of Brent &
-    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers"
-    (arXiv:1108.0286), Algorithm TangentNumbers: O(k_max^2) integer
-    operations, no division."""
-    t = [0] * (k_max + 1)
-    t[1] = 1
-    for k in range(2, k_max + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, k_max + 1):
-        for j in range(k, k_max + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
 def bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from Brent & Harvey's integer tangent numbers:
+    """B_n with B_1 = -1/2, from the integer tangent numbers:
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0 at odd n > 1.
-
-    The tangent recurrence is not incremental, so a request past the cache
-    rebuilds it to index max(n, 2 * len); callers that ask in ascending
-    order pay amortised O(N^2) integer operations for B_0..B_N."""
+    Each new B_2k costs O(k) integer operations and no division."""
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
-    if n >= len(_BERN):
-        top = max(n, 2 * len(_BERN))
-        t = _tangent_numbers(top // 2)
-        for m in range(len(_BERN), top + 1):
-            if m == 1:
-                _BERN.append(Fraction(-1, 2))
-            elif m % 2:
-                _BERN.append(Fraction(0))
-            else:
-                k, four_k = m // 2, 1 << m
-                _BERN.append(Fraction((-1) ** (k - 1) * m * t[k],
-                                      four_k * (four_k - 1)))
+    while len(_BERN) <= n:
+        m = len(_BERN)
+        if m % 2:
+            _BERN.append(Fraction(-1, 2) if m == 1 else Fraction(0))
+            continue
+        # passes 1..j-1 carry column j-1 to column j; pass j doubles
+        j, v = m // 2, 0
+        for i in range(j - 1):
+            v = _TAN[i] = (j - 1 - i) * _TAN[i] + (j + 1 - i) * v
+        _TAN.append(2 * v if _TAN else 1)
+        four_j = 1 << m
+        _BERN.append(Fraction((-1) ** (j - 1) * m * _TAN[-1],
+                              four_j * (four_j - 1)))
     return _BERN[n]
 
 

@@ -152,8 +152,8 @@ def _cmd_compute(args) -> int:
             "poly_bernoulli": lambda n: polybern.poly_bernoulli(n, args.p, args.x),
         }
         fn = fns[name]
-        # Largest n first, so a memo table that rebuilds past its end at
-        # doubled size (bernoulli, poly_bernoulli) is filled once, to n_max.
+        # Largest n first, so poly_bernoulli's table, which rebuilds past its
+        # end at doubled size, is filled once, to n_max.
         values = [rat_str(v) if v is not None else "undefined"
                   for v in map(fn, range(n_max, -1, -1))]
         values.reverse()

@@ -134,25 +134,6 @@ def log1p_series(f: Egf) -> Egf:
     return Egf(out)
 
 
-def polylog_series(p: int, f: Egf) -> Egf:
-    """Li_p(f) = sum_{k>=1} f^k / k^p for f with zero constant term."""
-    if p < 1:
-        raise ValueError("polylog_series requires p >= 1")
-    if f.coeffs[0] != 0:
-        raise ValueError("polylog_series requires zero constant term")
-    n = f.order
-    out = [Fraction(0)] * (n + 1)
-    power = f
-    for k in range(1, n + 1):
-        c = Fraction(1, k**p)
-        for i, a in enumerate(power.coeffs):
-            if a:
-                out[i] += a * c
-        if k < n:
-            power = mul(power, f)
-    return Egf(out)
-
-
 def sqrt_one_minus_4t(order: int) -> Egf:
     """Binomial series for (1-4t)^(1/2)."""
     return Egf([binom(Fraction(1, 2), k) * (-4) ** k for k in range(order + 1)])
@@ -182,7 +163,8 @@ def _harmonic_sq_ogf(order: int) -> Egf:
     t = Egf.identity(order)
     geom = inv(sub(Egf.one(order), t))
     ln = log1p_series(scale(t, -1))
-    return mul(add(polylog_series(2, t), mul(ln, ln)), geom)
+    dilog = Egf([0] + [Fraction(1, k * k) for k in range(1, order + 1)])
+    return mul(add(dilog, mul(ln, ln)), geom)
 
 
 def _central_binomial_harmonic_ogf(order: int) -> Egf:

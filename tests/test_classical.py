@@ -8,7 +8,9 @@ from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
                                cauchy1, cauchy1_integral, euler_at_one,
                                euler_number, euler_poly, hw,
                                worpitzky_bernoulli)
+from bernkit.congr import odd_primes_upto
 from bernkit.fps import Egf
+from bernkit.identities import SweepBounds, verify_identity
 from bernkit.seqcore import binom_int, harmonic
 
 
@@ -44,15 +46,32 @@ class TestBernoulli:
         assert [bernoulli(n) for n in range(301)] == ref
 
     def test_cache_independent_of_request_order(self, monkeypatch):
-        def values(order):
+        def values(walk):
             monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-            for n in order:
+            monkeypatch.setattr(classical, "_TAN", [])
+            for n in walk:
                 bernoulli(n)
+            # the table grows to the largest index asked for, no further
+            assert len(classical._BERN) == max(walk) + 1
             return [bernoulli(n) for n in range(301)]
 
         cold = values([300])
         assert values(range(301)) == cold
         assert values([7, 250, 3]) == cold
+        # VSC's walk: B_2j for j <= p, over the odd primes p <= 151
+        vsc = [2 * j for p in odd_primes_upto(151) for j in range(1, p + 1)]
+        assert values(vsc) == cold
+
+    def test_perturbed_tangent_column_is_caught(self, monkeypatch):
+        # one wrong entry of the working column corrupts every later B_2j,
+        # and WORPITZKY's independent Stirling route catches it
+        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+        monkeypatch.setattr(classical, "_TAN", [])
+        bernoulli(20)
+        classical._TAN[4] += 1
+        report = verify_identity("WORPITZKY", SweepBounds(n_max=40))
+        assert [f["params"]["n"] for f in report.failures] == list(
+            range(22, 41, 2))
 
     def test_worpitzky_small(self):
         assert worpitzky_bernoulli(1) == Fraction(-1, 2)

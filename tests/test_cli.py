@@ -55,9 +55,10 @@ class TestCompute:
 
     def test_memo_tables_are_filled_once_to_n_max(self, capsys, monkeypatch,
                                                   polybern_builds):
-        # bernoulli and poly_bernoulli rebuild at doubled size when asked
-        # past their cache; compute asks for n_max first
+        # poly_bernoulli rebuilds at doubled size when asked past its cache,
+        # so compute asks for n_max first; bernoulli grows by appending
         monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+        monkeypatch.setattr(classical, "_TAN", [])
         code, _ = run(capsys, "compute", "bernoulli", "--n-max", "700",
                       "--no-meta")
         assert code == 0 and len(classical._BERN) == 701

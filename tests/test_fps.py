@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from bernkit import fps
 from bernkit.classical import hw
 from bernkit.fps import (Egf, add, exp_t, inv, log1p_series, mul,
-                         named_series, polylog_series, scale, sub)
+                         named_series, scale, sub)
 from bernkit.seqcore import binom_int, factorial, harmonic, stirling2
 
 
@@ -78,23 +78,6 @@ def test_log1p_derivative(f):
 def test_inv_requires_unit():
     with pytest.raises(ValueError):
         inv(Egf.identity(4))
-
-
-def test_polylog_order_one_collapses():
-    order = 32
-    u = sub(Egf.one(order), exp_t(order, -1))
-    assert polylog_series(1, u) == Egf.identity(order)
-
-
-def test_polylog_dilog_coefficients():
-    s = polylog_series(2, Egf.identity(12))
-    assert s.coeff(0) == 0
-    for k in range(1, 13):
-        assert s.coeff(k) == Fraction(1, k * k)
-
-
-def test_polylog_of_zero():
-    assert polylog_series(3, Egf.zero(8)) == Egf.zero(8)
 
 
 def test_egf_accessor():
