@@ -6,11 +6,12 @@ Bernoulli convention is fixed at B_1 = -1/2 throughout.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fps import Egf
 from .seqcore import (binom, binom_int, factorial, harmonic, stirling1,
-                      stirling2_transform)
+                      stirling2, stirling2_transform)
 
 
 _BERN: list[Fraction] = [Fraction(1)]
@@ -21,6 +22,7 @@ _BERN: list[Fraction] = [Fraction(1)]
 _TAN: list[int] = []
 _EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
 _EULER_POLYS: list[Egf] = [Egf([1])]
+_CAUCHY1: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -114,16 +116,18 @@ def euler_at_one(n: int) -> Fraction:
 
 
 def cauchy1(k: int) -> Fraction:
-    """Cauchy number of the first kind via the signed Stirling sum."""
+    """Cauchy number of the first kind via the signed Stirling sum
+    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1), summed in integers over
+    lcm(1..k+1) and memoised."""
     if k < 0:
         raise ValueError("cauchy1 requires k >= 0")
-    if k == 0:
-        return Fraction(1)
-    return sum(
-        (stirling1(k, j) * Fraction((-1) ** (k - j), j + 1)
-         for j in range(1, k + 1)),
-        Fraction(0),
-    )
+    while len(_CAUCHY1) <= k:
+        m = len(_CAUCHY1)
+        d = math.lcm(*range(2, m + 2))
+        _CAUCHY1.append(Fraction(
+            sum((-1) ** (m - j) * stirling1(m, j) * (d // (j + 1))
+                for j in range(1, m + 1)), d))
+    return _CAUCHY1[k]
 
 
 def cauchy1_integral(k: int) -> Fraction:
@@ -139,10 +143,21 @@ def cauchy1_integral(k: int) -> Fraction:
 
 
 def hw(n: int, x) -> Fraction:
-    """Harmonic-weighted Stirling transform sum_k {n,k} binom(x,k) k! H_k."""
+    """Harmonic-weighted Stirling transform sum_k {n,k} binom(x,k) k! H_k.
+
+    With x = a/b, k! b^k binom(x,k) and lcm(1..n) H_k (k <= n) are
+    integers, so the sum is taken in integers over b^n lcm(1..n) and
+    normalised once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
     x = Fraction(x)
-    return stirling2_transform(
-        n, lambda k: binom(x, k) * factorial(k) * harmonic(k))
-
+    b = x.denominator
+    d = math.lcm(*range(1, n + 1))
+    total, b_k = 0, 1  # b_k = b^k
+    for k in range(1, n + 1):
+        b_k *= b
+        c, h = binom(x, k), harmonic(k)
+        total += (stirling2(n, k) * c.numerator
+                  * (factorial(k) * b_k // c.denominator) * b ** (n - k)
+                  * h.numerator * (d // h.denominator))
+    return Fraction(total, b**n * d)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernkit import classical, fps
 from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
@@ -11,7 +13,8 @@ from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
 from bernkit.congr import odd_primes_upto
 from bernkit.fps import Egf
 from bernkit.identities import SweepBounds, verify_identity
-from bernkit.seqcore import binom_int, harmonic
+from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
+                             stirling2_transform)
 
 
 class TestBernoulli:
@@ -142,9 +145,13 @@ class TestCauchy:
         assert cauchy1(1) == Fraction(1, 2)
         assert cauchy1(2) == Fraction(-1, 6)
 
-    def test_matches_integral_oracle(self):
-        for k in range(41):
+    def test_matches_integral_oracle(self, monkeypatch):
+        # a descending walk, as `compute cauchy1` asks, from an empty memo
+        monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
+        for k in range(40, -1, -1):
             assert cauchy1(k) == cauchy1_integral(k)
+        # the table grows to the largest k asked for, no further
+        assert len(classical._CAUCHY1) == 41
 
 
 class TestHw:
@@ -168,6 +175,15 @@ class TestHw:
             assert hw_closed_integer(n, 1) == 1
             for m in range(1, 8):
                 assert hw_closed_integer(n, m) == hw(n, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), a=st.integers(-24, 24), b=st.integers(1, 12))
+    def test_matches_fraction_transform(self, n, a, b):
+        # reference: the Stirling transform of binom(x,k) k! H_k, one
+        # normalised Fraction per term
+        x = Fraction(a, b)
+        assert hw(n, x) == stirling2_transform(
+            n, lambda k: binom(x, k) * factorial(k) * harmonic(k))
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 import dataclasses
 import functools
+import os
 import sys
+import time
 import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernkit import classical, fps, identities, polybern, seqcore
 from bernkit.identities import (CATALOG, IDENTITY_IDS, IdentityCase,
@@ -122,6 +126,17 @@ class TestSweeps:
         assert all(r.passed for r in reports)
 
 
+@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
+                    reason="scale test, opt in with BERNKIT_SLOW=1")
+def test_verify_all_to_n_200_within_limit():
+    start = time.monotonic()
+    reports = verify_all(SweepBounds(n_max=200))
+    elapsed = time.monotonic() - start
+    assert all(r.cases for r in reports)
+    assert [r.failures for r in reports if r.failures] == []
+    assert elapsed < 60, f"verify_all(n_max=200) took {elapsed:.1f}s"
+
+
 def test_disjoint_routes_spot():
     # lhs is a fresh direct summation, rhs goes through the cached closed
     # forms; a deliberate probe confirms the two sides are not aliases
@@ -132,20 +147,20 @@ def test_disjoint_routes_spot():
 # Functions each side may reach besides seqcore's table lookups: every
 # function of classical, fps (Egf's methods included) and polybern, the
 # shared seqcore sum `stirling2_transform`, and the identities helpers that
-# more than one entry calls.
-_ROUTE_HELPERS = ("_calB", "_hsq_sum", "_binomial_weighted_bern", "_agoh_rhs")
-# routes an id's two sides share on purpose (see the identities docstring);
-# REDUCTION also shares whatever `_calB` itself reaches
-_SHARED_ROUTES = {"REDUCTION": {"_calB"}, "CUMSUM": {"bernoulli"},
-                  "EQ14": {"bernoulli"}}
+# more than one entry calls or that compute a convolution or Bernoulli row.
+_ROUTE_HELPERS = ("_calB", "_calB_row", "_calB_entry", "_hsq_sum",
+                  "_bern_coeffs", "_bern_row", "_bern_row_at", "_bern_entry",
+                  "_binomial_weighted_bern", "_agoh_rhs")
+# routes an id's two sides share on purpose (see the identities docstring)
+_SHARED_ROUTES = {"CUMSUM": {"bernoulli"}, "EQ14": {"bernoulli"}}
 
 
 @pytest.fixture(scope="module")
 def routes():
     """For each id, the set of route names its left and its right side
-    reach over all cases at small bounds, with the poly-Bernoulli cache
-    emptied first so that its fps route is reached too. The key "_calB"
-    holds the names `_calB` reaches."""
+    reach over all cases at small bounds, with the poly-Bernoulli cache and
+    the identities row memos emptied first so that the routes behind them
+    are reached too."""
     mp = pytest.MonkeyPatch()
     reached = [set()]  # the names the side being evaluated has reached
 
@@ -180,6 +195,8 @@ def routes():
             mp.setattr(fps.Egf, name,
                        wrapped if fn is obj else staticmethod(wrapped))
     mp.setattr(polybern, "_CACHE", {})
+    mp.setattr(identities, "_CALB_ROWS", {})
+    mp.setattr(identities, "_BERN_ROWS", {})
 
     bounds = SweepBounds(n_max=6, m_max=3, rand_count=2)
     out = {}
@@ -191,11 +208,6 @@ def routes():
                 for params in entry.cases(bounds):
                     part(**params)
                 out[id].append(reached[0])
-        reached[0] = set()
-        for n in range(bounds.n_max + 1):
-            for j in range(n + 1):
-                identities._calB(n, j)
-        out["_calB"] = reached[0]
     finally:
         mp.undo()
     return out
@@ -204,10 +216,7 @@ def routes():
 @pytest.mark.parametrize("id", IDENTITY_IDS)
 def test_sides_share_no_route(routes, id):
     lhs, rhs = routes[id]
-    shared = set(_SHARED_ROUTES.get(id, ()))
-    if "_calB" in shared:
-        shared |= routes["_calB"]
-    assert lhs & rhs == shared
+    assert lhs & rhs == _SHARED_ROUTES.get(id, set())
 
 
 def test_evaluators_are_not_bare_layer_functions():
@@ -218,3 +227,66 @@ def test_evaluators_are_not_bare_layer_functions():
     for id, entry in CATALOG.items():
         for part in (entry.lhs, entry.rhs):
             assert part.__module__ not in layers, (id, part)
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("weight", [seqcore.harmonic,
+                                        identities._reciprocal])
+    def test_calB_row_matches_direct_sum(self, monkeypatch, weight):
+        monkeypatch.setattr(identities, "_CALB_ROWS", {})
+        for n in range(61):
+            if n == 0 and weight is identities._reciprocal:
+                # {0,0} [0,0] / 0: both routes divide by zero
+                for route in (identities._calB, identities._calB_entry):
+                    with pytest.raises(ZeroDivisionError):
+                        route(0, 0, weight)
+                continue
+            d, row = identities._calB_row(n, weight)
+            assert len(row) == n + 1
+            for j in range(n + 1):
+                assert Fraction(row[j], d) == identities._calB(n, j, weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), a=st.integers(-24, 24), b=st.integers(1, 12))
+    def test_horner_matches_weighted_sum(self, n, a, b):
+        x = Fraction(a, b)
+        weighted = identities._binomial_weighted_bern
+        assert identities._bern_row_at(n, x) == weighted(
+            n, lambda j: x ** (n - j))
+        # integer m, both signs, as AGOH and AGOH_ALT read it
+        lhs = {id: CATALOG[id].lhs for id in ("AGOH", "AGOH_ALT")}
+        assert lhs["AGOH"](n=n, m=a) == weighted(n, lambda j: a ** (n - j))
+        assert lhs["AGOH_ALT"](n=n, m=a) == weighted(
+            n, lambda j: (-1) ** j * a ** (n - j))
+
+    def test_perturbed_calB_row_is_caught(self, monkeypatch):
+        # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the
+        # cases that read it, and only those: MAIN and POLYX_COEFFS at
+        # (10, 4), and REDUCTION at (9, 4), whose left side is row 10
+        monkeypatch.setattr(identities, "_CALB_ROWS", {})
+        identities._calB_row(10)[1][4] += 1
+        bounds = SweepBounds(n_max=12)
+        failed = {id: [f["params"] for f in verify_identity(id, bounds)
+                       .failures]
+                  for id in ("MAIN", "REDUCTION", "POLYX_COEFFS")}
+        assert failed == {"MAIN": [{"n": 10, "j": 4}],
+                          "REDUCTION": [{"n": 9, "j": 4}],
+                          "POLYX_COEFFS": [{"n": 10, "coeff": 4}]}
+
+    def test_perturbed_bern_row_is_caught(self, monkeypatch):
+        # one wrong coefficient (C(10,4) - 1) B_4 / 4 of Agoh's row fails
+        # the entry readers at the case that reads it, and the Horner and
+        # weighted sums at every case of n = 10
+        monkeypatch.setattr(identities, "_BERN_ROWS", {})
+        identities._bern_row(10)[1][3] += 1
+        bounds = SweepBounds(n_max=12, m_max=4, rand_count=3)
+        failed = {id: [f["params"] for f in verify_identity(id, bounds)
+                       .failures]
+                  for id in ("MAIN", "POLYX_COEFFS", "AGOH", "AGOH_ALT",
+                             "POLYX", "AGOH_M1")}
+        assert failed.pop("MAIN") == [{"n": 10, "j": 6}]
+        assert failed.pop("POLYX_COEFFS") == [{"n": 10, "coeff": 6}]
+        for id, params in failed.items():
+            cases = [p for p in CATALOG[id].cases(bounds) if p["n"] == 10]
+            assert params and sorted(params, key=str) == sorted(cases,
+                                                                key=str), id
