@@ -10,8 +10,8 @@ import math
 from fractions import Fraction
 
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, harmonic, stirling1,
-                      stirling2, stirling2_transform)
+from .seqcore import (binom, binom_int, factorial, harmonic,
+                      next_stirling1_row, stirling2, stirling2_transform)
 
 
 _BERN: list[Fraction] = [Fraction(1)]
@@ -23,6 +23,7 @@ _TAN: list[int] = []
 _EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
 _EULER_POLYS: list[Egf] = [Egf([1])]
 _CAUCHY1: list[Fraction] = [Fraction(1)]
+_CAUCHY1_ROW: list[int] = [1]  # [k,j] for k = len(_CAUCHY1) - 1; reset both
 
 
 def bernoulli(n: int) -> Fraction:
@@ -117,23 +118,24 @@ def euler_at_one(n: int) -> Fraction:
 
 def cauchy1(k: int) -> Fraction:
     """Cauchy number of the first kind via the signed Stirling sum
-    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1), summed in integers over
-    lcm(1..k+1) and memoised."""
+    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1) over one working row of [k,j],
+    summed in integers over lcm(1..k+1) and memoised."""
     if k < 0:
         raise ValueError("cauchy1 requires k >= 0")
     while len(_CAUCHY1) <= k:
         m = len(_CAUCHY1)
+        _CAUCHY1_ROW[:] = next_stirling1_row(_CAUCHY1_ROW)
         d = math.lcm(*range(2, m + 2))
         _CAUCHY1.append(Fraction(
-            sum((-1) ** (m - j) * stirling1(m, j) * (d // (j + 1))
-                for j in range(1, m + 1)), d))
+            sum((-1) ** (m - j) * s * (d // (j + 1))
+                for j, s in enumerate(_CAUCHY1_ROW)), d))
     return _CAUCHY1[k]
 
 
 def cauchy1_integral(k: int) -> Fraction:
     """Oracle route: k! times the integral of binom(x,k) over [0,1]. The
     integer coefficients of x(x-1)...(x-k+1) are multiplied out one linear
-    factor at a time, independently of the Stirling table."""
+    factor at a time, independently of the Stirling step cauchy1 reads."""
     if k < 0:
         raise ValueError("cauchy1_integral requires k >= 0")
     coeffs = [1]

@@ -4,11 +4,10 @@ Each catalog entry carries an explicit case generator (the domain predicate
 made concrete), a left side computed by direct summation over the base
 sequences, and a right side computed through the cached closed forms, so a
 transcription slip on either side surfaces as a sweep failure. Both sides
-take a case's parameters as keywords: `entry.lhs(**params)`. Most entries'
-sides share only seqcore primitives. The exceptions are CUMSUM and EQ14,
-which call `bernoulli` on both sides: an error in that shared route cancels
-there. `tests/test_identities.py` checks this by recording which functions
-each side reaches.
+take a case's parameters as keywords: `entry.lhs(**params)`. The two sides
+of every entry share only seqcore primitives, so an error in one route
+cannot cancel. `tests/test_identities.py` checks this by recording which
+functions each side reaches.
 
 The paper's convolution sum_k (-1)^(k-j) {n,k} [k,j] weight(k) has two
 routes. `_calB_row` builds the whole row j = 0..n in integers over one
@@ -25,8 +24,8 @@ weights the row (C(n,j) + 1) B_j / j there, built the same way by
 `_bern_coeffs` but not memoised, since no other id reads it.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
-`worpitzky_bernoulli` or `_hsq_sum`), and of EQ14 and HW_CAUCHY (right,
-through `_hsq_sum` or directly).
+`worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
+(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly).
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .classical import (bernoulli, bernoulli_poly_at, bernoulli_reciprocal_sum,
-                        bernoulli_sum, cauchy1, euler_number, hw,
-                        worpitzky_bernoulli)
+from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
+                        cauchy1, euler_number, hw, worpitzky_bernoulli)
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, stirling1,
                       stirling2, stirling2_transform)
@@ -423,11 +421,12 @@ CATALOG: dict[str, IdentityEntry] = {
         _cases_eq11, _agoh_eq11_lhs, _agoh_eq11_rhs),
     "CUMSUM": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2), lambda n: bernoulli_sum(n),
-        lambda n: (dibernoulli_at_one(n) + bernoulli(n) - dibernoulli(n)
-                   - 1)),
+        lambda n: (dibernoulli_at_one(n) + worpitzky_bernoulli(n)
+                   - dibernoulli(n) - 1)),
     "EQ14": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1), lambda n: bernoulli_sum(n),
-        lambda n: _hsq_sum(n) + bernoulli_poly_at(n, 1) + n - n * n - 1),
+        lambda n: (_hsq_sum(n) + worpitzky_bernoulli(n) + (n == 1) + n
+                   - n * n - 1)),
     "HSQ_BRIDGE": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1), lambda n: _hsq_sum(n),
         lambda n: dibernoulli_at_one(n) - dibernoulli(n) + n * (n - 1)),

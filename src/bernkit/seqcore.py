@@ -4,7 +4,8 @@ factorials and binomial coefficients, and the Stirling transform.
 All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
 write-once, so repeated queries are cheap and results never change. The
-tables are for single-threaded use: growing them is not locked.
+tables are for single-threaded use: growing them is not locked. Each
+Stirling triangle grows alone, by its own kind's next-row step.
 """
 
 from __future__ import annotations
@@ -20,19 +21,14 @@ _H: list[Fraction] = [Fraction(0)]
 _HM: dict[int, list[Fraction]] = {}  # m -> [H_0^(m), H_1^(m), ...], m >= 2
 
 
-def _grow_stirling(n: int) -> None:
-    """Extend both triangles to row n. The _S1 row is appended before the
-    _S2 row and len(_S2) is the guard, so no _S2 row lacks its _S1 row."""
-    while len(_S2) <= n:
-        m = len(_S2)
-        prev2, prev1 = _S2[m - 1], _S1[m - 1]
-        row2 = [0] * (m + 1)
-        row1 = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row2[k] = k * (prev2[k] if k < m else 0) + prev2[k - 1]
-            row1[k] = (m - 1) * (prev1[k] if k < m else 0) + prev1[k - 1]
-        _S1.append(row1)
-        _S2.append(row2)
+def next_stirling1_row(row: list[int]) -> list[int]:
+    """Row n of [n,k] from row n - 1: [n,k] = (n-1) [n-1,k] + [n-1,k-1]."""
+    return [(len(row) - 1) * a + b for a, b in zip(row + [0], [0] + row)]
+
+
+def next_stirling2_row(row: list[int]) -> list[int]:
+    """Row n of {n,k} from row n - 1: {n,k} = k {n-1,k} + {n-1,k-1}."""
+    return [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -42,7 +38,8 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 requires n, k >= 0")
     if k > n:
         return 0
-    _grow_stirling(n)
+    while len(_S2) <= n:
+        _S2.append(next_stirling2_row(_S2[-1]))
     return _S2[n][k]
 
 
@@ -61,7 +58,8 @@ def stirling1(n: int, k: int) -> int:
         raise ValueError("stirling1 requires n, k >= 0")
     if k > n:
         return 0
-    _grow_stirling(n)
+    while len(_S1) <= n:
+        _S1.append(next_stirling1_row(_S1[-1]))
     return _S1[n][k]
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernkit import classical, fps
+from bernkit import classical, fps, seqcore
 from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
                                cauchy1, cauchy1_integral, euler_at_one,
                                euler_number, euler_poly, hw,
                                worpitzky_bernoulli)
-from bernkit.congr import odd_primes_upto
+from bernkit.congr import odd_primes_upto, prime_sweep
 from bernkit.fps import Egf
 from bernkit.identities import SweepBounds, verify_identity
 from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
@@ -101,6 +101,20 @@ class TestBernoulliPoly:
                         == bernoulli_poly_at(n, x) + n * x ** (n - 1))
 
 
+def euler_tangent_mismatches(k_max):
+    """The k <= k_max at which e_(2k-1) = 2^(2k-1) E_(2k-1)(0) differs from
+    (-1)^k T_k, with the tangent number T_k read off B_2k as
+    (-1)^(k-1) B_2k 4^k (4^k - 1) / (2k) (DLMF 24.4)."""
+    bad = []
+    for k in range(1, k_max + 1):
+        four_k = 4**k
+        t_k = (-1) ** (k - 1) * bernoulli(2 * k) * four_k * (four_k - 1)
+        t_k /= 2 * k
+        if euler_number(2 * k - 1) * 2 ** (2 * k - 1) != (-1) ** k * t_k:
+            bad.append(k)
+    return bad
+
+
 class TestEuler:
     def test_even_numbers_vanish(self):
         assert euler_number(0) == 1
@@ -118,6 +132,25 @@ class TestEuler:
         for k in range(1, 41):
             closed = 2 * (2 ** (k + 1) - 1) * bernoulli(k + 1) / (k + 1)
             assert euler_at_one(k) == -euler_number(k) == closed
+
+    def test_tangent_numbers_match_bernoulli(self):
+        # euler_number's recurrence and bernoulli's tangent column reach
+        # the tangent numbers by different algorithms
+        assert euler_tangent_mismatches(300) == []
+        assert all(euler_number(n) == 0 for n in range(2, 601, 2))
+
+    def test_tangent_check_kills_perturbed_tables(self, monkeypatch):
+        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+        monkeypatch.setattr(classical, "_TAN", [])
+        bernoulli(20)
+        classical._TAN[4] += 1  # every later B_2k is wrong
+        assert euler_tangent_mismatches(30) == list(range(11, 31))
+        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+        monkeypatch.setattr(classical, "_TAN", [])
+        monkeypatch.setattr(classical, "_EULER2", [1])
+        euler_number(20)
+        classical._EULER2[9] += 1  # e_9 and every e_n computed from it
+        assert euler_tangent_mismatches(30) == [5] + list(range(11, 31))
 
     def test_matches_poly_route(self):
         for n in range(151):
@@ -148,10 +181,28 @@ class TestCauchy:
     def test_matches_integral_oracle(self, monkeypatch):
         # a descending walk, as `compute cauchy1` asks, from an empty memo
         monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
+        monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
         for k in range(40, -1, -1):
             assert cauchy1(k) == cauchy1_integral(k)
         # the table grows to the largest k asked for, no further
         assert len(classical._CAUCHY1) == 41
+
+    def test_perturbed_working_row_is_caught(self, monkeypatch):
+        # one wrong entry of row 10 corrupts every later c_k: HW_CAUCHY's
+        # Bernoulli side and the c_p congruences catch each of them
+        monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
+        monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
+        cauchy1(10)
+        classical._CAUCHY1_ROW[3] += 1
+        report = verify_identity("HW_CAUCHY", SweepBounds(n_max=30))
+        assert [f["params"]["n"] for f in report.failures] == list(
+            range(11, 31))
+        primes = [p for p in odd_primes_upto(61) if p >= 11]
+        report = prime_sweep(("CP1", "C3SQ"), 61)
+        assert [(f["id"], f["params"]["p"], f["params"]["case"])
+                for f in report.failures] == (
+            [("CP1", p, "c_p") for p in primes]
+            + [("C3SQ", p, "") for p in primes])
 
 
 class TestHw:
@@ -220,7 +271,8 @@ def test_oracle_routes_do_not_read_the_checked_routes(monkeypatch):
     def checked_route(*args):
         raise AssertionError("oracle route called the route it checks")
 
-    monkeypatch.setattr(classical, "stirling1", checked_route)
+    monkeypatch.setattr(seqcore, "stirling1", checked_route)
+    monkeypatch.setattr(classical, "next_stirling1_row", checked_route)
     monkeypatch.setattr(classical, "euler_number", checked_route)
     monkeypatch.setattr(classical, "_EULER_POLYS", [Egf([1])])
     assert [cauchy1_integral(k) for k in range(25)] == cauchy

@@ -1,3 +1,5 @@
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,3 +151,14 @@ def test_sweep_to_401():
     assert report.failures == []
     assert report.cases == 29273
     assert report.notes == ["skipped: C4 at p=3: requires p >= 5"]
+
+
+@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
+                    reason="scale test, opt in with BERNKIT_SLOW=1")
+def test_sweep_to_1009_within_limit():
+    start = time.monotonic()
+    report = prime_sweep(p_max=1009)
+    elapsed = time.monotonic() - start
+    assert report.failures == []
+    assert report.cases == 155779
+    assert elapsed < 60, f"prime_sweep(p_max=1009) took {elapsed:.1f}s"

@@ -151,8 +151,6 @@ def test_disjoint_routes_spot():
 _ROUTE_HELPERS = ("_calB", "_calB_row", "_calB_entry", "_hsq_sum",
                   "_bern_coeffs", "_bern_row", "_bern_row_at", "_bern_entry",
                   "_binomial_weighted_bern", "_agoh_rhs")
-# routes an id's two sides share on purpose (see the identities docstring)
-_SHARED_ROUTES = {"CUMSUM": {"bernoulli"}, "EQ14": {"bernoulli"}}
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +214,7 @@ def routes():
 @pytest.mark.parametrize("id", IDENTITY_IDS)
 def test_sides_share_no_route(routes, id):
     lhs, rhs = routes[id]
-    assert lhs & rhs == _SHARED_ROUTES.get(id, set())
+    assert lhs & rhs == set()
 
 
 def test_evaluators_are_not_bare_layer_functions():
@@ -227,6 +225,18 @@ def test_evaluators_are_not_bare_layer_functions():
     for id, entry in CATALOG.items():
         for part in (entry.lhs, entry.rhs):
             assert part.__module__ not in layers, (id, part)
+
+
+def test_perturbed_bernoulli_is_caught(monkeypatch):
+    # CUMSUM and EQ14 read B_n on their left sides only, so a wrong B_40
+    # fails them at n = 40 instead of cancelling
+    monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
+    monkeypatch.setattr(classical, "_TAN", [])
+    classical.bernoulli(40)
+    classical._BERN[40] += 1
+    for id in ("CUMSUM", "EQ14"):
+        report = verify_identity(id, SweepBounds(n_max=40))
+        assert [f["params"]["n"] for f in report.failures] == [40], id
 
 
 class TestRowKernels:

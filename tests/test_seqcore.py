@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bernkit import seqcore
+from bernkit import classical, seqcore
 from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
                              harmonic_gen, stirling1, stirling2,
                              stirling2_transform)
@@ -109,6 +109,21 @@ class TestStirling1:
             expected = (Fraction(factorial(k - 1), 2)
                         * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)))
             assert stirling1(k, 3) == expected
+
+
+def test_each_triangle_grows_alone(monkeypatch):
+    # each kind appends rows only to its own triangle, and cauchy1 advances
+    # a working row of [k,j] instead of filling either triangle
+    monkeypatch.setattr(seqcore, "_S1", [[1]])
+    monkeypatch.setattr(seqcore, "_S2", [[1]])
+    monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
+    monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
+    classical.cauchy1(300)
+    assert (len(seqcore._S1), len(seqcore._S2)) == (1, 1)
+    stirling2(40, 3)
+    assert (len(seqcore._S1), len(seqcore._S2)) == (1, 41)
+    stirling1(30, 3)
+    assert (len(seqcore._S1), len(seqcore._S2)) == (31, 41)
 
 
 def rising_factorial(x, n):
