@@ -10,20 +10,19 @@ import math
 from fractions import Fraction
 
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, harmonic,
+from .seqcore import (binom, binom_int, factorial, harmonic, memo,
                       next_stirling1_row, stirling2, stirling2_transform)
 
 
-_BERN: list[Fraction] = [Fraction(1)]
+_BERN: list[Fraction] = memo([Fraction(1)])
 # Brent & Harvey's TangentNumbers recurrence (arXiv:1108.0286), one column at
 # a time: _TAN[i] is t_j after pass i + 1 for j = len(_TAN), so _TAN[-1] is
-# the tangent number T_j. B_2j is computed from T_j, so
-# len(_TAN) == (len(_BERN) - 1) // 2; empty both together, never one alone.
-_TAN: list[int] = []
-_EULER2: list[int] = [1]  # e_n = 2^n E_n(0), an integer
-_EULER_POLYS: list[Egf] = [Egf([1])]
-_CAUCHY1: list[Fraction] = [Fraction(1)]
-_CAUCHY1_ROW: list[int] = [1]  # [k,j] for k = len(_CAUCHY1) - 1; reset both
+# the tangent number T_j, and len(_TAN) == (len(_BERN) - 1) // 2.
+_TAN: list[int] = memo([])
+_EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
+_EULER_POLYS: list[Egf] = memo([Egf([1])])
+_CAUCHY1: list[Fraction] = memo([Fraction(1)])
+_CAUCHY1_ROW: list[int] = memo([1])  # [k,j] for k = len(_CAUCHY1) - 1
 
 
 def bernoulli(n: int) -> Fraction:

@@ -39,8 +39,8 @@ from typing import Callable, Iterable
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_number, hw, worpitzky_bernoulli)
 from .polybern import dibernoulli, dibernoulli_at_one
-from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, stirling1,
-                      stirling2, stirling2_transform)
+from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, memo,
+                      stirling1, stirling2, stirling2_transform)
 
 Params = dict[str, int | Fraction]
 
@@ -120,7 +120,7 @@ def _reciprocal(k: int) -> Fraction:
 # (weight, n) -> (d, [d * _calB(n, j, weight) for j in 0..n]); d is the lcm
 # of the denominators of weight(k), k <= n: a divisor of lcm(1..n) for H_k
 # and 1/k
-_CALB_ROWS: dict[tuple[Callable, int], tuple[int, list[int]]] = {}
+_CALB_ROWS: dict[tuple[Callable, int], tuple[int, list[int]]] = memo({})
 
 
 def _calB_row(n: int, weight: Callable[[int], Fraction] = harmonic
@@ -194,7 +194,7 @@ def _bern_coeffs(n: int, shift: int) -> tuple[int, list[int]]:
 
 
 # n -> _bern_coeffs(n, -1), the coefficients of Agoh's polynomial
-_BERN_ROWS: dict[int, tuple[int, list[int]]] = {}
+_BERN_ROWS: dict[int, tuple[int, list[int]]] = memo({})
 
 
 def _bern_row(n: int) -> tuple[int, list[int]]:

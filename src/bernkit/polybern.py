@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fps
-from .seqcore import factorial, stirling2_transform
+from .seqcore import factorial, memo, stirling2_transform
 
-_CACHE: dict[tuple[int, Fraction], list[Fraction]] = {}
+_CACHE: dict[tuple[int, Fraction], list[Fraction]] = memo({})
 
 
 def _series_coeffs(p: int, x: Fraction, order: int) -> list[Fraction]:

@@ -5,20 +5,41 @@ All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
 write-once, so repeated queries are cheap and results never change. The
 tables are for single-threaded use: growing them is not locked. Each
-Stirling triangle grows alone, by its own kind's next-row step.
+Stirling triangle grows alone, by its own kind's next-row step. Every memo
+table of the package is declared through `memo`; `clear_memos` resets all.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
-_S2: list[list[int]] = [[1]]  # _S2[n][k] = {n,k}
-_S1: list[list[int]] = [[1]]  # _S1[n][k] = [n,k]
-_FACT: list[int] = [1]
-_H: list[Fraction] = [Fraction(0)]
-_HM: dict[int, list[Fraction]] = {}  # m -> [H_0^(m), H_1^(m), ...], m >= 2
+_T = TypeVar("_T", bound=list | dict)
+_MEMOS: list[tuple] = []  # (table, a copy of its cold contents)
+
+
+def memo(cold: _T) -> _T:
+    """Register the module-level memo table `cold` and return it."""
+    _MEMOS.append((cold, copy.deepcopy(cold)))
+    return cold
+
+
+def clear_memos() -> None:
+    """Put every registered table back to its cold contents, in place and
+    all at once, so no table is reset apart from its working state."""
+    for table, cold in _MEMOS:
+        table.clear()
+        fill = table.update if isinstance(table, dict) else table.extend
+        fill(copy.deepcopy(cold))
+
+
+_S2: list[list[int]] = memo([[1]])  # _S2[n][k] = {n,k}
+_S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
+_FACT: list[int] = memo([1])
+_H: list[Fraction] = memo([Fraction(0)])
+_HM: dict[int, list[Fraction]] = memo({})  # m >= 2 -> [H_0^(m), H_1^(m), ...]
 
 
 def next_stirling1_row(row: list[int]) -> list[int]:

@@ -2,13 +2,22 @@ import sys
 
 import pytest
 
-from bernkit import fps, polybern
+from bernkit import fps
+from bernkit.seqcore import clear_memos
 
 
 @pytest.fixture
-def polybern_builds(monkeypatch):
-    """Empty the poly-Bernoulli cache and record the order of every
-    series it builds from then on."""
+def cold():
+    """Every memo table at its cold contents, before the test and after."""
+    clear_memos()
+    yield
+    clear_memos()
+
+
+@pytest.fixture
+def polybern_builds(cold, monkeypatch):
+    """Empty the memo tables and record the order of every poly-Bernoulli
+    series built from then on."""
     builds = []
     named_series = fps.named_series
 
@@ -16,7 +25,6 @@ def polybern_builds(monkeypatch):
         builds.append(order)
         return named_series(name, order, **kw)
 
-    monkeypatch.setattr(polybern, "_CACHE", {})
     monkeypatch.setattr(fps, "named_series", counting)
     return builds
 

@@ -13,8 +13,8 @@ from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
 from bernkit.congr import odd_primes_upto, prime_sweep
 from bernkit.fps import Egf
 from bernkit.identities import SweepBounds, verify_identity
-from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
-                             stirling2_transform)
+from bernkit.seqcore import (binom, binom_int, clear_memos, factorial,
+                             harmonic, stirling2_transform)
 
 
 class TestBernoulli:
@@ -48,10 +48,9 @@ class TestBernoulli:
                        / (m + 1))
         assert [bernoulli(n) for n in range(301)] == ref
 
-    def test_cache_independent_of_request_order(self, monkeypatch):
+    def test_cache_independent_of_request_order(self, cold):
         def values(walk):
-            monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-            monkeypatch.setattr(classical, "_TAN", [])
+            clear_memos()
             for n in walk:
                 bernoulli(n)
             # the table grows to the largest index asked for, no further
@@ -65,11 +64,9 @@ class TestBernoulli:
         vsc = [2 * j for p in odd_primes_upto(151) for j in range(1, p + 1)]
         assert values(vsc) == cold
 
-    def test_perturbed_tangent_column_is_caught(self, monkeypatch):
+    def test_perturbed_tangent_column_is_caught(self, cold):
         # one wrong entry of the working column corrupts every later B_2j,
         # and WORPITZKY's independent Stirling route catches it
-        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-        monkeypatch.setattr(classical, "_TAN", [])
         bernoulli(20)
         classical._TAN[4] += 1
         report = verify_identity("WORPITZKY", SweepBounds(n_max=40))
@@ -139,15 +136,11 @@ class TestEuler:
         assert euler_tangent_mismatches(300) == []
         assert all(euler_number(n) == 0 for n in range(2, 601, 2))
 
-    def test_tangent_check_kills_perturbed_tables(self, monkeypatch):
-        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-        monkeypatch.setattr(classical, "_TAN", [])
+    def test_tangent_check_kills_perturbed_tables(self, cold):
         bernoulli(20)
         classical._TAN[4] += 1  # every later B_2k is wrong
         assert euler_tangent_mismatches(30) == list(range(11, 31))
-        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-        monkeypatch.setattr(classical, "_TAN", [])
-        monkeypatch.setattr(classical, "_EULER2", [1])
+        clear_memos()
         euler_number(20)
         classical._EULER2[9] += 1  # e_9 and every e_n computed from it
         assert euler_tangent_mismatches(30) == [5] + list(range(11, 31))
@@ -178,20 +171,16 @@ class TestCauchy:
         assert cauchy1(1) == Fraction(1, 2)
         assert cauchy1(2) == Fraction(-1, 6)
 
-    def test_matches_integral_oracle(self, monkeypatch):
+    def test_matches_integral_oracle(self, cold):
         # a descending walk, as `compute cauchy1` asks, from an empty memo
-        monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
-        monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
         for k in range(40, -1, -1):
             assert cauchy1(k) == cauchy1_integral(k)
         # the table grows to the largest k asked for, no further
         assert len(classical._CAUCHY1) == 41
 
-    def test_perturbed_working_row_is_caught(self, monkeypatch):
+    def test_perturbed_working_row_is_caught(self, cold):
         # one wrong entry of row 10 corrupts every later c_k: HW_CAUCHY's
         # Bernoulli side and the c_p congruences catch each of them
-        monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
-        monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
         cauchy1(10)
         classical._CAUCHY1_ROW[3] += 1
         report = verify_identity("HW_CAUCHY", SweepBounds(n_max=30))
@@ -262,7 +251,7 @@ def test_polynomials_are_egfs_of_order_n():
             assert poly.order == n and poly.coeffs[-1] == 1
 
 
-def test_oracle_routes_do_not_read_the_checked_routes(monkeypatch):
+def test_oracle_routes_do_not_read_the_checked_routes(cold, monkeypatch):
     # cauchy1_integral checks cauchy1 (a Stirling sum), and euler_poly
     # checks euler_number: neither may call the route it checks.
     cauchy = [cauchy1_integral(k) for k in range(25)]
@@ -274,6 +263,6 @@ def test_oracle_routes_do_not_read_the_checked_routes(monkeypatch):
     monkeypatch.setattr(seqcore, "stirling1", checked_route)
     monkeypatch.setattr(classical, "next_stirling1_row", checked_route)
     monkeypatch.setattr(classical, "euler_number", checked_route)
-    monkeypatch.setattr(classical, "_EULER_POLYS", [Egf([1])])
+    clear_memos()
     assert [cauchy1_integral(k) for k in range(25)] == cauchy
     assert [euler_poly(n) for n in range(25)] == euler

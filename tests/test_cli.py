@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,12 +52,10 @@ class TestCompute:
         code, _ = run(capsys, "compute", "nope", "--no-meta")
         assert code == 2
 
-    def test_memo_tables_are_filled_once_to_n_max(self, capsys, monkeypatch,
+    def test_memo_tables_are_filled_once_to_n_max(self, capsys,
                                                   polybern_builds):
         # poly_bernoulli rebuilds at doubled size when asked past its cache,
         # so compute asks for n_max first; bernoulli grows by appending
-        monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-        monkeypatch.setattr(classical, "_TAN", [])
         code, _ = run(capsys, "compute", "bernoulli", "--n-max", "700",
                       "--no-meta")
         assert code == 0 and len(classical._BERN) == 701

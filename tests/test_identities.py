@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernkit import classical, fps, identities, polybern, seqcore
+from bernkit.congr import prime_sweep
 from bernkit.identities import (CATALOG, IDENTITY_IDS, IdentityCase,
                                 IndeterminateRHS, SweepBounds, eval_identity,
                                 verify_all, verify_identity)
+from bernkit.seqcore import clear_memos
 
 
 class TestEvalIdentity:
@@ -156,9 +158,9 @@ _ROUTE_HELPERS = ("_calB", "_calB_row", "_calB_entry", "_hsq_sum",
 @pytest.fixture(scope="module")
 def routes():
     """For each id, the set of route names its left and its right side
-    reach over all cases at small bounds, with the poly-Bernoulli cache and
-    the identities row memos emptied first so that the routes behind them
-    are reached too."""
+    reach over all cases at small bounds, with every memo table emptied
+    before and after, so that the routes behind the tables are reached too
+    whichever tests ran first."""
     mp = pytest.MonkeyPatch()
     reached = [set()]  # the names the side being evaluated has reached
 
@@ -192,9 +194,7 @@ def routes():
             wrapped = wrap(fn, f"Egf.{name}")
             mp.setattr(fps.Egf, name,
                        wrapped if fn is obj else staticmethod(wrapped))
-    mp.setattr(polybern, "_CACHE", {})
-    mp.setattr(identities, "_CALB_ROWS", {})
-    mp.setattr(identities, "_BERN_ROWS", {})
+    clear_memos()
 
     bounds = SweepBounds(n_max=6, m_max=3, rand_count=2)
     out = {}
@@ -208,6 +208,7 @@ def routes():
                 out[id].append(reached[0])
     finally:
         mp.undo()
+        clear_memos()
     return out
 
 
@@ -227,11 +228,9 @@ def test_evaluators_are_not_bare_layer_functions():
             assert part.__module__ not in layers, (id, part)
 
 
-def test_perturbed_bernoulli_is_caught(monkeypatch):
+def test_perturbed_bernoulli_is_caught(cold):
     # CUMSUM and EQ14 read B_n on their left sides only, so a wrong B_40
     # fails them at n = 40 instead of cancelling
-    monkeypatch.setattr(classical, "_BERN", [Fraction(1)])
-    monkeypatch.setattr(classical, "_TAN", [])
     classical.bernoulli(40)
     classical._BERN[40] += 1
     for id in ("CUMSUM", "EQ14"):
@@ -239,11 +238,47 @@ def test_perturbed_bernoulli_is_caught(monkeypatch):
         assert [f["params"]["n"] for f in report.failures] == [40], id
 
 
+# The primitive x id kill matrix: one entry of a filled memo table plus 1
+# must fail exactly these ids of both catalogs at small bounds. The B and
+# c_n rows are the perturbed-table tests above and in test_classical.py.
+@pytest.mark.parametrize("fill, table, path, n_max, killed", [
+    (lambda: seqcore.stirling2(11, 0), seqcore._S2, (11, 4), 16,
+     "MAIN WORPITZKY GEN_WORPITZKY H1 H2 K3SPECIAL POLYX POLYX_COEFFS CUMSUM "
+     "EQ14 HSQ_BRIDGE REDUCTION HW_CAUCHY STIRP"),
+    (lambda: seqcore.stirling1(11, 0), seqcore._S1, (11, 2), 16,
+     "MAIN GEN_WORPITZKY POLYX_COEFFS REDUCTION STIRL20"),
+    (lambda: seqcore.harmonic(10), seqcore._H, (10,), 16,
+     "MAIN H1 H2 K3SPECIAL POLYX POLYX_COEFFS AGOH AGOH_ALT AGOH_M1 EQ14 "
+     "HSQ_BRIDGE REDUCTION STIRL20 HW_CAUCHY BABBAGE"),
+    (lambda: seqcore.harmonic_gen(8, 2), seqcore._HM, (2, 8), 16,
+     "K3SPECIAL"),
+    (lambda: seqcore.factorial(10), seqcore._FACT, (10,), 16,
+     "WORPITZKY H1 H2 K3SPECIAL CUMSUM EQ14 HSQ_BRIDGE STIRL20 C1SQ GLAISHER"),
+    (lambda: classical.euler_number(9), classical._EULER2, (9,), 16,
+     "REC16_EULER C2"),
+    # n_max = 10: past order 10, CUMSUM's walk rebuilds the (2, x) series
+    # and replaces the perturbed list before HSQ_BRIDGE reads it
+    (lambda: polybern.poly_bernoulli(10, 2, 0), polybern._CACHE,
+     ((2, 0), 10), 10, "CUMSUM HSQ_BRIDGE"),
+    (lambda: polybern.poly_bernoulli(10, 2, 1), polybern._CACHE,
+     ((2, 1), 10), 10, "CUMSUM HSQ_BRIDGE"),
+], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "polybern-x0",
+        "polybern-x1"])
+def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
+    fill()
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] += 1
+    reports = [*verify_all(SweepBounds(n_max=n_max, m_max=6, rand_count=3)),
+               prime_sweep(p_max=31)]
+    assert {f["id"] for r in reports for f in r.failures} == set(
+        killed.split())
+
+
 class TestRowKernels:
     @pytest.mark.parametrize("weight", [seqcore.harmonic,
                                         identities._reciprocal])
-    def test_calB_row_matches_direct_sum(self, monkeypatch, weight):
-        monkeypatch.setattr(identities, "_CALB_ROWS", {})
+    def test_calB_row_matches_direct_sum(self, cold, weight):
         for n in range(61):
             if n == 0 and weight is identities._reciprocal:
                 # {0,0} [0,0] / 0: both routes divide by zero
@@ -269,11 +304,10 @@ class TestRowKernels:
         assert lhs["AGOH_ALT"](n=n, m=a) == weighted(
             n, lambda j: (-1) ** j * a ** (n - j))
 
-    def test_perturbed_calB_row_is_caught(self, monkeypatch):
+    def test_perturbed_calB_row_is_caught(self, cold):
         # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the
         # cases that read it, and only those: MAIN and POLYX_COEFFS at
         # (10, 4), and REDUCTION at (9, 4), whose left side is row 10
-        monkeypatch.setattr(identities, "_CALB_ROWS", {})
         identities._calB_row(10)[1][4] += 1
         bounds = SweepBounds(n_max=12)
         failed = {id: [f["params"] for f in verify_identity(id, bounds)
@@ -283,11 +317,10 @@ class TestRowKernels:
                           "REDUCTION": [{"n": 9, "j": 4}],
                           "POLYX_COEFFS": [{"n": 10, "coeff": 4}]}
 
-    def test_perturbed_bern_row_is_caught(self, monkeypatch):
+    def test_perturbed_bern_row_is_caught(self, cold):
         # one wrong coefficient (C(10,4) - 1) B_4 / 4 of Agoh's row fails
         # the entry readers at the case that reads it, and the Horner and
         # weighted sums at every case of n = 10
-        monkeypatch.setattr(identities, "_BERN_ROWS", {})
         identities._bern_row(10)[1][3] += 1
         bounds = SweepBounds(n_max=12, m_max=4, rand_count=3)
         failed = {id: [f["params"] for f in verify_identity(id, bounds)

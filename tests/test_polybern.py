@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernkit import classical, fps, polybern, seqcore
+from bernkit import classical, fps, seqcore
 from bernkit.classical import bernoulli, bernoulli_poly_at
 from bernkit.polybern import (dibernoulli, dibernoulli_at_one, poly_bernoulli,
                               stirling_sum_oracle)
-from bernkit.seqcore import factorial, harmonic, stirling2
+from bernkit.seqcore import clear_memos, factorial, harmonic, stirling2
 
 
 def test_oracle_validated_against_series_route():
@@ -132,7 +132,7 @@ def test_cumulative_sum_spot_n2():
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_values_are_independent_of_request_order(monkeypatch, p):
+def test_values_are_independent_of_request_order(cold, monkeypatch, p):
     # named_series is pure, so walks that build the same order share it
     monkeypatch.setattr(fps, "named_series", functools.cache(fps.named_series))
     ns = list(range(61))
@@ -142,7 +142,7 @@ def test_values_are_independent_of_request_order(monkeypatch, p):
         series = fps.named_series("polybern", 60, p=p, x=x)
         want = {n: series.egf(n) for n in ns}
         for walk in (ns, ns[::-1], [7, 60, *rest]):
-            monkeypatch.setattr(polybern, "_CACHE", {})
+            clear_memos()
             assert {n: poly_bernoulli(n, p, x) for n in walk} == want
 
 

@@ -1,13 +1,16 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bernkit import classical, seqcore
-from bernkit.seqcore import (binom, binom_int, factorial, harmonic,
-                             harmonic_gen, stirling1, stirling2,
+from bernkit import classical, identities, polybern, seqcore
+from bernkit.fps import Egf
+from bernkit.identities import IdentityCase, eval_identity
+from bernkit.seqcore import (binom, binom_int, clear_memos, factorial,
+                             harmonic, harmonic_gen, stirling1, stirling2,
                              stirling2_transform)
 
 
@@ -111,19 +114,46 @@ class TestStirling1:
             assert stirling1(k, 3) == expected
 
 
-def test_each_triangle_grows_alone(monkeypatch):
+def test_each_triangle_grows_alone(cold):
     # each kind appends rows only to its own triangle, and cauchy1 advances
     # a working row of [k,j] instead of filling either triangle
-    monkeypatch.setattr(seqcore, "_S1", [[1]])
-    monkeypatch.setattr(seqcore, "_S2", [[1]])
-    monkeypatch.setattr(classical, "_CAUCHY1", [Fraction(1)])
-    monkeypatch.setattr(classical, "_CAUCHY1_ROW", [1])
     classical.cauchy1(300)
     assert (len(seqcore._S1), len(seqcore._S2)) == (1, 1)
     stirling2(40, 3)
     assert (len(seqcore._S1), len(seqcore._S2)) == (1, 41)
     stirling1(30, 3)
     assert (len(seqcore._S1), len(seqcore._S2)) == (31, 41)
+
+
+def test_every_memo_table_is_registered_and_cleared():
+    # each table's contents at import, written out independently of memo
+    cold = {"_S2": [[1]], "_S1": [[1]], "_FACT": [1], "_H": [Fraction(0)],
+            "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [], "_EULER2": [1],
+            "_EULER_POLYS": [Egf([1])], "_CAUCHY1": [Fraction(1)],
+            "_CAUCHY1_ROW": [1], "_CALB_ROWS": {}, "_BERN_ROWS": {},
+            "_CACHE": {}}
+    tables = [(name, value)
+              for mod in (seqcore, classical, identities, polybern)
+              for name, value in vars(mod).items()
+              if re.fullmatch(r"_[A-Z0-9_]+", name)
+              and isinstance(value, (list, dict))
+              and value is not seqcore._MEMOS]
+    assert sorted(name for name, _ in tables) == sorted(cold)
+    registered = [table for table, _ in seqcore._MEMOS]
+    assert all(any(v is t for t in registered) for _, v in tables)
+    classical.bernoulli(60)
+    classical.euler_number(30)
+    classical.euler_poly(8)
+    classical.cauchy1(30)
+    stirling1(30, 0)
+    stirling2(30, 0)
+    harmonic_gen(30, 3)
+    eval_identity(IdentityCase("MAIN", {"n": 12, "j": 5}))
+    eval_identity(IdentityCase("AGOH", {"n": 12, "m": 3}))
+    polybern.poly_bernoulli(20, 2, 1)
+    assert all(value != cold[name] for name, value in tables)
+    clear_memos()
+    assert dict(tables) == cold
 
 
 def rising_factorial(x, n):
@@ -197,8 +227,7 @@ class TestHarmonic:
         assert harmonic_gen(n, m) == sum(
             (Fraction(1, i**m) for i in range(1, n + 1)), Fraction(0))
 
-    def test_generalized_deep_cold_cache(self, monkeypatch):
-        monkeypatch.setattr(seqcore, "_HM", {})  # nothing memoized below n
+    def test_generalized_deep_cold_cache(self, cold):
         h = harmonic_gen(5000, 2)
         assert h - harmonic_gen(4999, 2) == Fraction(1, 5000**2)
         assert harmonic_gen(5000, 2) is h
