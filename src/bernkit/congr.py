@@ -8,6 +8,7 @@ in aggregate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -108,7 +109,7 @@ def check_congruence(id: str, p: int) -> list[CongruenceResult]:
     if id not in CATALOG:
         raise KeyError(f"unknown congruence id {id!r}")
     entry = CATALOG[id]
-    if p < 3 or odd_primes_upto(p)[-1] != p:
+    if p < 3 or not all(p % q for q in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be an odd prime")
     if p < entry.min_p:
         raise ValueError(f"{id} requires p >= {entry.min_p}")

@@ -9,6 +9,7 @@ is an `Egf` of order n, evaluated exactly by calling it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .seqcore import binom, factorial
@@ -19,12 +20,14 @@ RatLike = Fraction | int
 class Egf:
     """A power series truncated at a fixed order, exact coefficients."""
 
-    __slots__ = ("coeffs",)
+    # _ints: (d, [d * c for c in reversed(coeffs)]), filled by the first call
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: list[RatLike] | tuple[RatLike, ...]):
         if not coeffs:
             raise ValueError("series needs at least the constant term")
         self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+        self._ints: tuple[int, list[int]] | None = None
 
     @property
     def order(self) -> int:
@@ -39,12 +42,21 @@ class Egf:
         return self.coeffs[n] * factorial(n)
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact value of the truncated polynomial at t = x (Horner)."""
+        """Exact value of the truncated polynomial at t = x, by one integer
+        Horner pass: with x = a/b and the coefficients c_i over their lcm d,
+        it is sum_i (d c_i) a^i b^(order-i) / (d b^order)."""
+        if self._ints is None:
+            d = math.lcm(*(c.denominator for c in self.coeffs))
+            self._ints = d, [c.numerator * (d // c.denominator)
+                             for c in reversed(self.coeffs)]
+        d, ints = self._ints
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        acc, b_i = 0, 1  # b_i = b^i after i coefficients
+        for r in ints:
+            acc = acc * a + r * b_i
+            b_i *= b
+        return Fraction(acc * b, d * b_i)  # b_i = b^(order+1) here
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Egf) and self.coeffs == other.coeffs

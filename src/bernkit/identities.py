@@ -10,18 +10,20 @@ cannot cancel. `tests/test_identities.py` checks this by recording which
 functions each side reaches.
 
 The paper's convolution sum_k (-1)^(k-j) {n,k} [k,j] weight(k) has two
-routes. `_calB_row` builds the whole row j = 0..n in integers over one
-denominator and memoises it; MAIN's left side, REDUCTION's left side and
-the right side of POLYX_COEFFS read it with the default weight H_k, and
-GEN_WORPITZKY's left side with weight 1/k. `_calB` sums one entry directly
-and reads no row: REDUCTION's right side uses it, so that identity's two
-sides do not share the convolution. The coefficients (C(n,j) - 1) B_j / j
-of Agoh's polynomial are memoised the same way, as one integer row per n in
-`_bern_row`: AGOH, AGOH_ALT and POLYX evaluate it by one Horner pass per
-case, MAIN's right side and POLYX_COEFFS's left side read one entry, and
-AGOH_M1 and AGOH_COMBINE weight it through `_binomial_weighted_bern`. REC16
-weights the row (C(n,j) + 1) B_j / j there, built the same way by
-`_bern_coeffs` but not memoised, since no other id reads it.
+routes. `_calB_row` sums the whole row j = 0..n in integers over one
+denominator and memoises it as a list of Fractions; MAIN's left side,
+REDUCTION's left side and the right side of POLYX_COEFFS index it with the
+default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
+sums one entry directly and reads no row: REDUCTION's right side uses it,
+so that identity's two sides do not share the convolution. Agoh's
+polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is an `fps.Egf`, memoised per
+n in `_bern_row`: AGOH, AGOH_ALT and POLYX call it (one integer Horner
+pass per case), MAIN's right side and POLYX_COEFFS's left side read one
+coefficient, and AGOH_M1 and AGOH_COMBINE weight its coefficients through
+`_binomial_weighted_bern`. REC16 weights the polynomial with C(n,j) + 1
+there, built by `_bern_coeffs` but not memoised, since no other id reads
+it. The row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one
+side only.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
 `worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
@@ -38,6 +40,7 @@ from typing import Callable, Iterable
 
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_number, hw, worpitzky_bernoulli)
+from .fps import Egf
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, memo,
                       stirling1, stirling2, stirling2_transform)
@@ -117,17 +120,16 @@ def _reciprocal(k: int) -> Fraction:
     return Fraction(1, k)
 
 
-# (weight, n) -> (d, [d * _calB(n, j, weight) for j in 0..n]); d is the lcm
-# of the denominators of weight(k), k <= n: a divisor of lcm(1..n) for H_k
-# and 1/k
-_CALB_ROWS: dict[tuple[Callable, int], tuple[int, list[int]]] = memo({})
+# (weight, n) -> [_calB(n, j, weight) for j in 0..n]
+_CALB_ROWS: dict[tuple[Callable, int], list[Fraction]] = memo({})
 
 
 def _calB_row(n: int, weight: Callable[[int], Fraction] = harmonic
-              ) -> tuple[int, list[int]]:
-    """The row j = 0..n of the convolution `_calB(n, j, weight)` as
-    integers over one denominator d, returned as (d, row) and memoised
-    per (weight, n). Each weight(k) is read once per row, where {n,k} != 0."""
+              ) -> list[Fraction]:
+    """The row j = 0..n of the convolution `_calB(n, j, weight)`, memoised
+    per (weight, n). It is summed in integers over d, the lcm of the
+    denominators of weight(k) (a divisor of lcm(1..n) for H_k and 1/k), and
+    each weight(k) is read once per row, where {n,k} != 0."""
     key = (weight, n)
     if key not in _CALB_ROWS:
         ks = [k for k in range(n + 1) if stirling2(n, k)]
@@ -138,15 +140,9 @@ def _calB_row(n: int, weight: Callable[[int], Fraction] = harmonic
             v = (-1) ** k * stirling2(n, k) * w.numerator * (d // w.denominator)
             for j in range(k + 1):
                 row[j] += v * stirling1(k, j)
-        _CALB_ROWS[key] = d, [(-1) ** j * r for j, r in enumerate(row)]
+        _CALB_ROWS[key] = [Fraction((-1) ** j * r, d)
+                           for j, r in enumerate(row)]
     return _CALB_ROWS[key]
-
-
-def _calB_entry(n: int, j: int,
-                weight: Callable[[int], Fraction] = harmonic) -> Fraction:
-    """`_calB(n, j, weight)` read from the memoised row."""
-    d, row = _calB_row(n, weight)
-    return Fraction(row[j], d)
 
 
 def _hsq_sum(n: int) -> Fraction:
@@ -160,11 +156,11 @@ def _main_rhs(n: int, j: int) -> Fraction:
     if j == n:
         raise IndeterminateRHS(
             "RHS (binom(n,n)-1)*B_0/0 is indeterminate at j=n; LHS equals H_n")
-    return _bern_entry(n, n - j)
+    return _bern_row(n).coeff(j)
 
 
 def _gen_worpitzky_lhs(n: int, j: int) -> Fraction:
-    return _calB_entry(n, j, _reciprocal)
+    return _calB_row(n, _reciprocal)[j]
 
 
 def _h1_lhs(n: int) -> Fraction:
@@ -184,21 +180,20 @@ def _k3_lhs(n: int) -> Fraction:
         * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k), lo=3)
 
 
-def _bern_coeffs(n: int, shift: int) -> tuple[int, list[int]]:
-    """The coefficients (C(n,j) + shift) B_j / j, j = 1..n, as integers over
-    one denominator d, the lcm of theirs: (d, row)."""
-    coeffs = [(binom_int(n, j) + shift) * bernoulli(j) / j
-              for j in range(1, n + 1)]
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _bern_coeffs(n: int, shift: int) -> Egf:
+    """The polynomial sum_{j=1..n} (C(n,j) + shift) B_j / j x^(n-j), as an
+    Egf of order n: x^i has coefficient (C(n,n-i) + shift) B_(n-i) / (n-i),
+    and x^n has 0."""
+    return Egf([(binom_int(n, n - i) + shift) * bernoulli(n - i) / (n - i)
+                for i in range(n)] + [0])
 
 
-# n -> _bern_coeffs(n, -1), the coefficients of Agoh's polynomial
-_BERN_ROWS: dict[int, tuple[int, list[int]]] = memo({})
+# n -> _bern_coeffs(n, -1), Agoh's polynomial
+_BERN_ROWS: dict[int, Egf] = memo({})
 
 
-def _bern_row(n: int) -> tuple[int, list[int]]:
-    """Agoh's coefficients (C(n,j) - 1) B_j / j, memoised per n."""
+def _bern_row(n: int) -> Egf:
+    """Agoh's polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j), memoised per n."""
     if n not in _BERN_ROWS:
         _BERN_ROWS[n] = _bern_coeffs(n, -1)
     return _BERN_ROWS[n]
@@ -208,37 +203,15 @@ def _binomial_weighted_bern(n: int, weight: Callable[[int], Fraction | int],
                             shift: int = -1) -> Fraction:
     """sum_{j=1..n} (C(n,j) + shift) B_j/j weight(j). Only Agoh's row
     (shift -1) is read again by other ids, so only it is memoised."""
-    d, row = _bern_row(n) if shift == -1 else _bern_coeffs(n, shift)
-    return Fraction(sum(r * weight(j) for j, r in enumerate(row, 1))) / d
-
-
-def _bern_row_at(n: int, x: Fraction | int) -> Fraction:
-    """sum_{j=1..n} (C(n,j) - 1) B_j/j x^(n-j), by one integer Horner pass:
-    with x = a/b the sum is sum_j r_j a^(n-j) b^(j-1) / (d b^(n-1))."""
-    d, row = _bern_row(n)
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    acc, b_j = 0, 1  # b_j = b^(j-1)
-    for r in row:
-        acc = acc * a + r * b_j
-        b_j *= b
-    return Fraction(acc * b, d * b_j)  # b_j = b^n here
-
-
-def _bern_entry(n: int, j: int) -> Fraction:
-    """(C(n,j) - 1) B_j / j for 1 <= j <= n, read from the memoised row."""
-    d, row = _bern_row(n)
-    return Fraction(row[j - 1], d)
-
-
-def _polyx_coeff_lhs(n: int, coeff: int) -> Fraction:
-    return _bern_entry(n, n - coeff) if coeff < n else Fraction(0)
+    row = _bern_row(n) if shift == -1 else _bern_coeffs(n, shift)
+    return sum((c * weight(j) for j, c in zip(range(n, 0, -1), row.coeffs)),
+               Fraction(0))
 
 
 def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
     # x^coeff coefficient of hw(n, x) - H_n x^n as a polynomial in x, since
     # k! binom(x, k) = sum_i (-1)^(k-i) [k,i] x^i
-    return _calB_entry(n, coeff) - (harmonic(n) if coeff == n else 0)
+    return _calB_row(n)[coeff] - (harmonic(n) if coeff == n else 0)
 
 
 def _agoh_rhs(n: int, m: int) -> Fraction:
@@ -363,7 +336,7 @@ class IdentityEntry:
 CATALOG: dict[str, IdentityEntry] = {
     "MAIN": IdentityEntry(
         "1 <= n <= n_max, 0 <= j <= n-1",
-        _cases_main, lambda n, j: _calB_entry(n, j), _main_rhs,
+        _cases_main, lambda n, j: _calB_row(n)[j], _main_rhs,
         note=lambda b: "j=n excluded: RHS (binom(n,n)-1)*B_0/0 is "
                        "indeterminate; LHS there equals H_n"),
     "WORPITZKY": IdentityEntry(
@@ -385,19 +358,20 @@ CATALOG: dict[str, IdentityEntry] = {
     "POLYX": IdentityEntry(
         "1 <= n <= n_max, random nonzero rational x",
         _cases_polyx,
-        lambda n, x: _bern_row_at(n, x),
+        lambda n, x: _bern_row(n)(x),
         lambda n, x: hw(n, x) - harmonic(n) * Fraction(x) ** n),
     "POLYX_COEFFS": IdentityEntry(
         "1 <= n <= n_max, coefficientwise in x",
-        _cases_polyx_coeffs, _polyx_coeff_lhs, _polyx_coeff_rhs),
+        _cases_polyx_coeffs, lambda n, coeff: _bern_row(n).coeff(coeff),
+        _polyx_coeff_rhs),
     "AGOH": IdentityEntry(
         "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
-        lambda n, m: _bern_row_at(n, m),
+        lambda n, m: _bern_row(n)(m),
         lambda n, m: _agoh_rhs(n, m)),
     "AGOH_ALT": IdentityEntry(
         "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
         # sum_j (-1)^j c_j m^(n-j) = (-1)^n sum_j c_j (-m)^(n-j)
-        lambda n, m: (-1) ** n * _bern_row_at(n, -m),
+        lambda n, m: (-1) ** n * _bern_row(n)(-m),
         lambda n, m: _agoh_rhs(n, m) + m ** (n - 1) * (n - 1)),
     "AGOH_M1": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
@@ -436,7 +410,7 @@ CATALOG: dict[str, IdentityEntry] = {
         lambda n, j: Fraction(binom_int(n + 1, j) - 1)),
     "REDUCTION": IdentityEntry(
         "1 <= j <= n <= n_max", _cases_nj(1),
-        lambda n, j: _calB_entry(n + 1, j),
+        lambda n, j: _calB_row(n + 1)[j],
         lambda n, j: (_calB(n, j - 1)
                       + binom_int(n, j) * bernoulli(n + 1 - j) / (n + 1 - j))),
     "STIRL20": IdentityEntry(

@@ -106,9 +106,19 @@ class TestCatalog:
         with pytest.raises(KeyError):
             check_congruence("NOPE", 5)
 
-    def test_composite_p_rejected(self):
-        with pytest.raises(ValueError):
-            check_congruence("C1", 9)
+    def test_composite_p_rejected(self, cold):
+        for p in (1, 2, 4, 9, 15, 25, 121, 961):
+            with pytest.raises(ValueError):
+                check_congruence("C1", p)
+        # accepted at exactly the sieve's primes
+        primes = set(odd_primes_upto(2003))
+        for p in range(2004):
+            try:
+                (res,) = check_congruence("BABBAGE", p)
+            except ValueError:
+                assert p not in primes
+            else:
+                assert p in primes and res.passed
 
 
 def test_sweep_small():

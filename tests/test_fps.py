@@ -89,6 +89,22 @@ def test_exact_evaluation():
     assert Egf([Fraction(1, 3), 0, 1])(Fraction(1, 2)) == Fraction(7, 12)
 
 
+@given(st.integers(0, 30).flatmap(lambda order: st.lists(
+           st.one_of(st.integers(-50, 50), _rationals, st.just(0)),
+           min_size=order + 1, max_size=order + 1)),
+       st.lists(st.one_of(st.integers(-30, 30), _rationals), max_size=4))
+def test_call_matches_fraction_horner(coeffs, xs):
+    # the first call fills the integer form, the later calls on the same
+    # Egf reuse it
+    a = Egf(coeffs)
+    for x in [0, *xs, -7]:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        value = a(x)
+        assert type(value) is Fraction and value == acc
+
+
 def test_equality_requires_same_order():
     assert Egf([1, 2]) != Egf([1, 2, 0])
 

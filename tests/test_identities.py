@@ -150,9 +150,8 @@ def test_disjoint_routes_spot():
 # function of classical, fps (Egf's methods included) and polybern, the
 # shared seqcore sum `stirling2_transform`, and the identities helpers that
 # more than one entry calls or that compute a convolution or Bernoulli row.
-_ROUTE_HELPERS = ("_calB", "_calB_row", "_calB_entry", "_hsq_sum",
-                  "_bern_coeffs", "_bern_row", "_bern_row_at", "_bern_entry",
-                  "_binomial_weighted_bern", "_agoh_rhs")
+_ROUTE_HELPERS = ("_calB", "_calB_row", "_hsq_sum", "_bern_coeffs",
+                  "_bern_row", "_binomial_weighted_bern", "_agoh_rhs")
 
 
 @pytest.fixture(scope="module")
@@ -282,21 +281,22 @@ class TestRowKernels:
         for n in range(61):
             if n == 0 and weight is identities._reciprocal:
                 # {0,0} [0,0] / 0: both routes divide by zero
-                for route in (identities._calB, identities._calB_entry):
-                    with pytest.raises(ZeroDivisionError):
-                        route(0, 0, weight)
+                with pytest.raises(ZeroDivisionError):
+                    identities._calB(0, 0, weight)
+                with pytest.raises(ZeroDivisionError):
+                    identities._calB_row(0, weight)
                 continue
-            d, row = identities._calB_row(n, weight)
+            row = identities._calB_row(n, weight)
             assert len(row) == n + 1
             for j in range(n + 1):
-                assert Fraction(row[j], d) == identities._calB(n, j, weight)
+                assert row[j] == identities._calB(n, j, weight)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), a=st.integers(-24, 24), b=st.integers(1, 12))
     def test_horner_matches_weighted_sum(self, n, a, b):
         x = Fraction(a, b)
         weighted = identities._binomial_weighted_bern
-        assert identities._bern_row_at(n, x) == weighted(
+        assert identities._bern_row(n)(x) == weighted(
             n, lambda j: x ** (n - j))
         # integer m, both signs, as AGOH and AGOH_ALT read it
         lhs = {id: CATALOG[id].lhs for id in ("AGOH", "AGOH_ALT")}
@@ -308,7 +308,7 @@ class TestRowKernels:
         # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the
         # cases that read it, and only those: MAIN and POLYX_COEFFS at
         # (10, 4), and REDUCTION at (9, 4), whose left side is row 10
-        identities._calB_row(10)[1][4] += 1
+        identities._calB_row(10)[4] += 1
         bounds = SweepBounds(n_max=12)
         failed = {id: [f["params"] for f in verify_identity(id, bounds)
                        .failures]
@@ -318,10 +318,12 @@ class TestRowKernels:
                           "POLYX_COEFFS": [{"n": 10, "coeff": 4}]}
 
     def test_perturbed_bern_row_is_caught(self, cold):
-        # one wrong coefficient (C(10,4) - 1) B_4 / 4 of Agoh's row fails
-        # the entry readers at the case that reads it, and the Horner and
-        # weighted sums at every case of n = 10
-        identities._bern_row(10)[1][3] += 1
+        # one wrong coefficient (C(10,4) - 1) B_4 / 4, at x^6, of Agoh's
+        # polynomial fails the coefficient readers at the case that reads
+        # it, and the Horner and weighted sums at every case of n = 10
+        coeffs = list(identities._bern_row(10).coeffs)
+        coeffs[6] += 1
+        identities._BERN_ROWS[10] = fps.Egf(coeffs)
         bounds = SweepBounds(n_max=12, m_max=4, rand_count=3)
         failed = {id: [f["params"] for f in verify_identity(id, bounds)
                        .failures]
