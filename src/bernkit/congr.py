@@ -135,12 +135,14 @@ def odd_primes_upto(p_max: int) -> list[int]:
 def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> Report:
     """Run each catalog entry over all odd primes up to p_max, collecting
     every failure. An entry that raises at a prime counts as one failed
-    case, with a note naming the exception."""
+    case, with a note naming the exception. Every id is checked before any
+    prime is swept."""
+    ids = tuple(ids)
+    if unknown := [id for id in ids if id not in CATALOG]:
+        raise KeyError(f"unknown congruence id {unknown[0]!r}")
     report = Report("congruence")
     primes = odd_primes_upto(p_max)
     for id in ids:
-        if id not in CATALOG:
-            raise KeyError(f"unknown congruence id {id!r}")
         min_p = CATALOG[id].min_p
         for p in primes:
             if p < min_p:

@@ -16,14 +16,11 @@ REDUCTION's left side and the right side of POLYX_COEFFS index it with the
 default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
 sums one entry directly and reads no row: REDUCTION's right side uses it,
 so that identity's two sides do not share the convolution. Agoh's
-polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is an `fps.Egf`, memoised per
-n in `_bern_row`: AGOH, AGOH_ALT and POLYX call it (one integer Horner
-pass per case), MAIN's right side and POLYX_COEFFS's left side read one
-coefficient, and AGOH_M1 and AGOH_COMBINE weight its coefficients through
-`_binomial_weighted_bern`. REC16 weights the polynomial with C(n,j) + 1
-there, built by `_bern_coeffs` but not memoised, since no other id reads
-it. The row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one
-side only.
+polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf`
+`_bern_row(n)`, and REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's
+right side and POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT,
+POLYX, AGOH_M1, AGOH_COMBINE and REC16 evaluate it at one or two points. The
+row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one side only.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
 `worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
@@ -180,32 +177,18 @@ def _k3_lhs(n: int) -> Fraction:
         * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k), lo=3)
 
 
-def _bern_coeffs(n: int, shift: int) -> Egf:
-    """The polynomial sum_{j=1..n} (C(n,j) + shift) B_j / j x^(n-j), as an
-    Egf of order n: x^i has coefficient (C(n,n-i) + shift) B_(n-i) / (n-i),
-    and x^n has 0."""
-    return Egf([(binom_int(n, n - i) + shift) * bernoulli(n - i) / (n - i)
-                for i in range(n)] + [0])
+_BERN_ROWS: dict[tuple[int, int], Egf] = memo({})
 
 
-# n -> _bern_coeffs(n, -1), Agoh's polynomial
-_BERN_ROWS: dict[int, Egf] = memo({})
-
-
-def _bern_row(n: int) -> Egf:
-    """Agoh's polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j), memoised per n."""
-    if n not in _BERN_ROWS:
-        _BERN_ROWS[n] = _bern_coeffs(n, -1)
-    return _BERN_ROWS[n]
-
-
-def _binomial_weighted_bern(n: int, weight: Callable[[int], Fraction | int],
-                            shift: int = -1) -> Fraction:
-    """sum_{j=1..n} (C(n,j) + shift) B_j/j weight(j). Only Agoh's row
-    (shift -1) is read again by other ids, so only it is memoised."""
-    row = _bern_row(n) if shift == -1 else _bern_coeffs(n, shift)
-    return sum((c * weight(j) for j, c in zip(range(n, 0, -1), row.coeffs)),
-               Fraction(0))
+def _bern_row(n: int, shift: int = -1) -> Egf:
+    """sum_{j=1..n} (C(n,j) + shift) B_j / j x^(n-j) as an Egf of order n
+    (0 at x^n), memoised per (n, shift). Shift -1 is Agoh's polynomial, and
+    shift +1 REC16's."""
+    if (n, shift) not in _BERN_ROWS:
+        _BERN_ROWS[n, shift] = Egf([(binom_int(n, n - i) + shift)
+                                    * bernoulli(n - i) / (n - i)
+                                    for i in range(n)] + [0])
+    return _BERN_ROWS[n, shift]
 
 
 def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
@@ -220,9 +203,7 @@ def _agoh_rhs(n: int, m: int) -> Fraction:
 
 
 def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
-    z = Fraction(z)
-    return sum((binom_int(m, k) * harmonic(k) * (z - 1) ** k
-                for k in range(1, m + 1)), Fraction(0))
+    return Egf([binom_int(m, k) * harmonic(k) for k in range(m + 1)])(z - 1)
 
 
 def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
@@ -375,15 +356,17 @@ CATALOG: dict[str, IdentityEntry] = {
         lambda n, m: _agoh_rhs(n, m) + m ** (n - 1) * (n - 1)),
     "AGOH_M1": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda n: _binomial_weighted_bern(n, lambda j: (-1) ** j),
+        lambda n: (-1) ** n * _bern_row(n)(-1),
         lambda n: n - harmonic(n)),
     "AGOH_COMBINE": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda n: _binomial_weighted_bern(n, lambda j: 1 - Fraction(1, 2**j)),
+        # sum_j c_j (1 - 2^-j), and sum_j c_j 2^-j = 2^-n sum_j c_j 2^(n-j)
+        lambda n: _bern_row(n)(1) - _bern_row(n)(2) / 2**n,
         lambda n: Fraction(1 - 2 ** (n - 1), 2**n)),
     "REC16": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda n: _binomial_weighted_bern(n, lambda j: 1 - 2**j, shift=1),
+        # sum_j c_j (1 - 2^j), and sum_j c_j 2^j = 2^n sum_j c_j 2^-(n-j)
+        lambda n: _bern_row(n, 1)(1) - 2**n * _bern_row(n, 1)(Fraction(1, 2)),
         lambda n: Fraction(1)),
     "REC16_EULER": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
@@ -469,4 +452,7 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
 
 def verify_all(bounds: SweepBounds | None = None,
                ids: Iterable[str] = IDENTITY_IDS) -> list[Report]:
+    ids = tuple(ids)  # every id is checked before any is swept
+    if unknown := [id for id in ids if id not in CATALOG]:
+        raise KeyError(f"unknown identity {unknown[0]!r}")
     return [verify_identity(id, bounds) for id in ids]

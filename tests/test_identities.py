@@ -150,8 +150,8 @@ def test_disjoint_routes_spot():
 # function of classical, fps (Egf's methods included) and polybern, the
 # shared seqcore sum `stirling2_transform`, and the identities helpers that
 # more than one entry calls or that compute a convolution or Bernoulli row.
-_ROUTE_HELPERS = ("_calB", "_calB_row", "_hsq_sum", "_bern_coeffs",
-                  "_bern_row", "_binomial_weighted_bern", "_agoh_rhs")
+_ROUTE_HELPERS = ("_calB", "_calB_row", "_hsq_sum", "_bern_row",
+                  "_agoh_rhs")
 
 
 @pytest.fixture(scope="module")
@@ -292,17 +292,30 @@ class TestRowKernels:
                 assert row[j] == identities._calB(n, j, weight)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 40), a=st.integers(-24, 24), b=st.integers(1, 12))
-    def test_horner_matches_weighted_sum(self, n, a, b):
+    @given(n=st.integers(1, 40), m=st.integers(1, 20), a=st.integers(-24, 24),
+           b=st.integers(1, 12))
+    def test_horner_matches_weighted_sum(self, n, m, a, b):
         x = Fraction(a, b)
-        weighted = identities._binomial_weighted_bern
-        assert identities._bern_row(n)(x) == weighted(
-            n, lambda j: x ** (n - j))
+
+        def weighted(weight, shift=-1):
+            # sum_{j=1..n} (C(n,j) + shift) B_j/j weight(j), term by term
+            coeffs = identities._bern_row(n, shift).coeffs
+            return sum((c * weight(j)
+                        for j, c in zip(range(n, 0, -1), coeffs)), Fraction(0))
+
+        assert identities._bern_row(n)(x) == weighted(lambda j: x ** (n - j))
+        lhs = {id: entry.lhs for id, entry in CATALOG.items()}
         # integer m, both signs, as AGOH and AGOH_ALT read it
-        lhs = {id: CATALOG[id].lhs for id in ("AGOH", "AGOH_ALT")}
-        assert lhs["AGOH"](n=n, m=a) == weighted(n, lambda j: a ** (n - j))
+        assert lhs["AGOH"](n=n, m=a) == weighted(lambda j: a ** (n - j))
         assert lhs["AGOH_ALT"](n=n, m=a) == weighted(
-            n, lambda j: (-1) ** j * a ** (n - j))
+            lambda j: (-1) ** j * a ** (n - j))
+        assert lhs["AGOH_M1"](n=n) == weighted(lambda j: (-1) ** j)
+        assert lhs["AGOH_COMBINE"](n=n) == weighted(
+            lambda j: 1 - Fraction(1, 2**j))
+        assert lhs["REC16"](n=n) == weighted(lambda j: 1 - 2**j, shift=1)
+        assert lhs["AGOH_EQ11"](m=m, z=x) == sum(
+            (seqcore.binom_int(m, k) * seqcore.harmonic(k) * (x - 1) ** k
+             for k in range(m + 1)), Fraction(0))
 
     def test_perturbed_calB_row_is_caught(self, cold):
         # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the
@@ -320,18 +333,42 @@ class TestRowKernels:
     def test_perturbed_bern_row_is_caught(self, cold):
         # one wrong coefficient (C(10,4) - 1) B_4 / 4, at x^6, of Agoh's
         # polynomial fails the coefficient readers at the case that reads
-        # it, and the Horner and weighted sums at every case of n = 10
+        # it, and the Horner sums at every case of n = 10
         coeffs = list(identities._bern_row(10).coeffs)
         coeffs[6] += 1
-        identities._BERN_ROWS[10] = fps.Egf(coeffs)
+        identities._BERN_ROWS[10, -1] = fps.Egf(coeffs)
         bounds = SweepBounds(n_max=12, m_max=4, rand_count=3)
         failed = {id: [f["params"] for f in verify_identity(id, bounds)
                        .failures]
                   for id in ("MAIN", "POLYX_COEFFS", "AGOH", "AGOH_ALT",
-                             "POLYX", "AGOH_M1")}
+                             "POLYX", "AGOH_M1", "AGOH_COMBINE")}
         assert failed.pop("MAIN") == [{"n": 10, "j": 6}]
         assert failed.pop("POLYX_COEFFS") == [{"n": 10, "coeff": 6}]
         for id, params in failed.items():
             cases = [p for p in CATALOG[id].cases(bounds) if p["n"] == 10]
             assert params and sorted(params, key=str) == sorted(cases,
                                                                 key=str), id
+
+    def test_perturbed_rec16_row_is_caught(self, cold):
+        # the shift +1 row is REC16's alone: a wrong x^6 coefficient fails
+        # REC16 at n = 10 and no reader of Agoh's polynomial
+        coeffs = list(identities._bern_row(10, 1).coeffs)
+        coeffs[6] += 1
+        identities._BERN_ROWS[10, 1] = fps.Egf(coeffs)
+        bounds = SweepBounds(n_max=12, m_max=4, rand_count=3)
+        failed = {id: [f["params"] for f in verify_identity(id, bounds)
+                       .failures]
+                  for id in ("REC16", "MAIN", "POLYX_COEFFS", "AGOH",
+                             "AGOH_ALT", "POLYX", "AGOH_M1", "AGOH_COMBINE")}
+        assert failed.pop("REC16") == [{"n": 10}]
+        assert failed == dict.fromkeys(failed, [])
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: prime_sweep(("C1", "NOPE"), 1009),
+    lambda: verify_all(SweepBounds(n_max=90), ("REDUCTION", "NOPE")),
+], ids=["prime_sweep", "verify_all"])
+def test_unknown_id_is_rejected_before_sweeping(cold, sweep):
+    with pytest.raises(KeyError, match="NOPE"):
+        sweep()
+    assert all(table == contents for table, contents in seqcore._MEMOS)
