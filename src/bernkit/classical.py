@@ -10,8 +10,8 @@ import math
 from fractions import Fraction
 
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, harmonic, memo,
-                      next_stirling1_row, stirling2, stirling2_transform)
+from .seqcore import (binom, binom_int, factorial, harmonic, memo, stirling2,
+                      stirling2_transform)
 
 
 _BERN: list[Fraction] = memo([Fraction(1)])
@@ -19,10 +19,14 @@ _BERN: list[Fraction] = memo([Fraction(1)])
 # a time: _TAN[i] is t_j after pass i + 1 for j = len(_TAN), so _TAN[-1] is
 # the tangent number T_j, and len(_TAN) == (len(_BERN) - 1) // 2.
 _TAN: list[int] = memo([])
+_BERN_SUM: list[Fraction] = memo([Fraction(1)])  # sum_{j<=n} B_j
 _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
+_EULER_SUM: list[int] = memo([1])  # sum_{j<=n} e_j 2^(n-j) = 2^n sum E_j(0)
 _EULER_POLYS: list[Egf] = memo([Egf([1])])
 _CAUCHY1: list[Fraction] = memo([Fraction(1)])
-_CAUCHY1_ROW: list[int] = memo([1])  # [k,j] for k = len(_CAUCHY1) - 1
+# T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
+# integer since j + 1 divides L; the last entry is T_k = L / (k+1)
+_CAUCHY1_ROW: list[int] = memo([1])
 
 
 def bernoulli(n: int) -> Fraction:
@@ -48,13 +52,27 @@ def bernoulli(n: int) -> Fraction:
 
 
 def bernoulli_sum(n: int) -> Fraction:
-    """sum_{j<=n} B_j."""
-    return sum((bernoulli(j) for j in range(n + 1)), Fraction(0))
+    """sum_{j<=n} B_j (0 for n < 0), read off a memoised running prefix:
+    each new n costs one exact Fraction addition."""
+    if n < 0:
+        return Fraction(0)
+    bernoulli(n)
+    while len(_BERN_SUM) <= n:
+        _BERN_SUM.append(_BERN_SUM[-1] + _BERN[len(_BERN_SUM)])
+    return _BERN_SUM[n]
 
 
 def bernoulli_reciprocal_sum(n: int) -> Fraction:
-    """sum_{j<=n} B_j / (n - j + 1)."""
-    return sum((bernoulli(j) / (n - j + 1) for j in range(n + 1)), Fraction(0))
+    """sum_{j<=n} B_j / (n - j + 1), summed in integers over the lcm of the
+    denominators B_j.denominator (n - j + 1) and normalised once (0 for
+    n < 0)."""
+    if n < 0:
+        return Fraction(0)
+    bernoulli(n)
+    terms = [(b.numerator, b.denominator * (n - j + 1))
+             for j, b in enumerate(_BERN[:n + 1]) if b]
+    d = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (d // den) for num, den in terms), d)
 
 
 def worpitzky_bernoulli(n: int) -> Fraction:
@@ -111,23 +129,47 @@ def euler_number(n: int) -> Fraction:
     return Fraction(_EULER2[n], 1 << n)
 
 
+def euler_sum(n: int) -> Fraction:
+    """sum_{j<=n} E_j(0) = S_n / 2^n, with the integers
+    S_n = sum_{j<=n} e_j 2^(n-j) kept as the running S_n = 2 S_(n-1) + e_n
+    over euler_number's table of e_j = 2^j E_j(0)."""
+    if n < 0:
+        raise ValueError("euler_sum requires n >= 0")
+    euler_number(n)
+    while len(_EULER_SUM) <= n:
+        _EULER_SUM.append(2 * _EULER_SUM[-1] + _EULER2[len(_EULER_SUM)])
+    return Fraction(_EULER_SUM[n], 1 << n)
+
+
 def euler_at_one(n: int) -> Fraction:
     return euler_poly(n)(1)
 
 
 def cauchy1(k: int) -> Fraction:
     """Cauchy number of the first kind via the signed Stirling sum
-    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1) over one working row of [k,j],
-    summed in integers over lcm(1..k+1) and memoised."""
+    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1), memoised.
+
+    One scaled working row T_j = L [m,j] / (j+1), with L = lcm(1..m+1), is
+    carried from m - 1 to m by the first-kind step
+    [m,j] = (m-1) [m-1,j] + [m-1,j-1], which becomes
+    T_j <- (m-1) T_j + j T_(j-1) / (j+1), an exact division since j + 1
+    divides L. When m + 1 is a power of the prime q, L grows by q and the
+    row is multiplied by q first. Then c_m = sum_j (-1)^(m-j) T_j / L:
+    small-integer products and exact divisions only, and one Fraction per
+    new m (Merlini, Sprugnoli & Verri, "The Cauchy numbers", Discrete
+    Math. 306, 2006)."""
     if k < 0:
         raise ValueError("cauchy1 requires k >= 0")
     while len(_CAUCHY1) <= k:
-        m = len(_CAUCHY1)
-        _CAUCHY1_ROW[:] = next_stirling1_row(_CAUCHY1_ROW)
-        d = math.lcm(*range(2, m + 2))
-        _CAUCHY1.append(Fraction(
-            sum((-1) ** (m - j) * s * (d // (j + 1))
-                for j, s in enumerate(_CAUCHY1_ROW)), d))
+        m, row = len(_CAUCHY1), _CAUCHY1_ROW
+        q = (m + 1) // math.gcd(m * row[-1], m + 1)  # m * T_(m-1) = old L
+        if q > 1:
+            row = [q * t for t in row]
+        row = [(m - 1) * a + j * b // (j + 1)
+               for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+        _CAUCHY1_ROW[:] = row
+        total = sum(row[m::-2]) - sum(row[m - 1::-2])
+        _CAUCHY1.append(Fraction(total, (m + 1) * row[-1]))
     return _CAUCHY1[k]
 
 

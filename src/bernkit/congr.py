@@ -1,9 +1,9 @@
 """Reduction of exact rationals modulo an odd prime (or its square) and the
 prime-congruence catalog.
 
-Every sum is evaluated exactly in Fraction arithmetic first and only then
-reduced; individual terms may carry the prime in a denominator that cancels
-in aggregate.
+Every sum is evaluated exactly first (running prefix sums and integer sums
+over one denominator, kept in `classical`) and only then reduced; individual
+terms may carry the prime in a denominator that cancels in aggregate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
-                        cauchy1, euler_number)
+                        cauchy1, euler_sum)
 from .identities import Report
 from .seqcore import factorial, harmonic, stirling2
 
@@ -40,7 +40,8 @@ def rational_mod(r, modulus: int, p: int) -> Residue:
     """Reduce a rational modulo p or p^2 via the modular inverse of its
     denominator. Raises DenominatorDivisibleByP when the reduction is
     ill-posed."""
-    r = Fraction(r)
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
     if modulus not in (p, p * p):
         raise ValueError("modulus must be p or p^2")
     if r.denominator % p == 0:
@@ -81,9 +82,7 @@ def _vsc(p: int) -> list[tuple]:
 
 CATALOG: dict[str, CongruenceEntry] = {
     "C1": CongruenceEntry(lambda p: [(p * bernoulli_sum(p), -1, p, "")]),
-    "C2": CongruenceEntry(lambda p: [(
-        sum((euler_number(j) for j in range(p + 1)), Fraction(0)),
-        Fraction(3, 2), p, "")]),
+    "C2": CongruenceEntry(lambda p: [(euler_sum(p), Fraction(3, 2), p, "")]),
     "C3": CongruenceEntry(lambda p: [(
         p * bernoulli_reciprocal_sum(p), -1, p, "")]),
     "C4": CongruenceEntry(lambda p: [(bernoulli_sum(p - 3), -1, p, "")], min_p=5),

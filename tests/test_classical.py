@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -180,9 +181,11 @@ class TestCauchy:
 
     def test_perturbed_working_row_is_caught(self, cold):
         # one wrong entry of row 10 corrupts every later c_k: HW_CAUCHY's
-        # Bernoulli side and the c_p congruences catch each of them
+        # Bernoulli side and the c_p congruences catch each of them. The row
+        # holds T_j = L [10,j] / (j+1) with L = lcm(1..11), so [10,3] + 1
+        # is T_3 + L/4, which keeps every later division exact
         cauchy1(10)
-        classical._CAUCHY1_ROW[3] += 1
+        classical._CAUCHY1_ROW[3] += math.lcm(*range(1, 12)) // 4
         report = verify_identity("HW_CAUCHY", SweepBounds(n_max=30))
         assert [f["params"]["n"] for f in report.failures] == list(
             range(11, 31))
@@ -261,8 +264,37 @@ def test_oracle_routes_do_not_read_the_checked_routes(cold, monkeypatch):
         raise AssertionError("oracle route called the route it checks")
 
     monkeypatch.setattr(seqcore, "stirling1", checked_route)
-    monkeypatch.setattr(classical, "next_stirling1_row", checked_route)
+    monkeypatch.setattr(classical, "cauchy1", checked_route)
     monkeypatch.setattr(classical, "euler_number", checked_route)
     clear_memos()
     assert [cauchy1_integral(k) for k in range(25)] == cauchy
     assert [euler_poly(n) for n in range(25)] == euler
+
+
+@pytest.fixture(scope="module")
+def direct_sums():
+    """For n <= 300: c_n by the integral oracle, and each prefix sum the
+    congruence catalog reads re-summed from j = 0, one Fraction per term."""
+    ns = range(301)
+    b = [bernoulli(j) for j in ns]
+    e = [euler_number(j) for j in ns]
+    return {
+        "cauchy1": [cauchy1_integral(n) for n in ns],
+        "bernoulli_sum": [sum(b[:n + 1], Fraction(0)) for n in ns],
+        "euler_sum": [sum(e[:n + 1], Fraction(0)) for n in ns],
+        "bernoulli_reciprocal_sum": [
+            sum((b[j] / (n - j + 1) for j in range(n + 1)), Fraction(0))
+            for n in ns],
+    }
+
+
+@pytest.mark.parametrize("walk", [range(301), range(300, -1, -1)],
+                         ids=["ascending", "descending"])
+def test_cold_walks_match_direct_sums(cold, direct_sums, walk):
+    # each route fills its own table from cold, whichever way it is walked
+    for name, direct in direct_sums.items():
+        clear_memos()
+        route = getattr(classical, name)
+        assert [route(n) for n in walk] == [direct[n] for n in walk], name
+    assert classical.bernoulli_sum(-1) == 0
+    assert classical.bernoulli_reciprocal_sum(-1) == 0

@@ -255,14 +255,20 @@ def test_perturbed_bernoulli_is_caught(cold):
      "WORPITZKY H1 H2 K3SPECIAL CUMSUM EQ14 HSQ_BRIDGE STIRL20 C1SQ GLAISHER"),
     (lambda: classical.euler_number(9), classical._EULER2, (9,), 16,
      "REC16_EULER C2"),
+    # every later prefix sum is carried from the wrong one; C1 reads
+    # p * (sum + 1), which is unchanged mod p, so only C1SQ's mod-p^2
+    # statement catches it at p = 11
+    (lambda: classical.bernoulli_sum(10), classical._BERN_SUM, (10,), 16,
+     "CUMSUM EQ14 C4 C1SQ"),
+    (lambda: classical.euler_sum(9), classical._EULER_SUM, (9,), 16, "C2"),
     # n_max = 10: past order 10, CUMSUM's walk rebuilds the (2, x) series
     # and replaces the perturbed list before HSQ_BRIDGE reads it
     (lambda: polybern.poly_bernoulli(10, 2, 0), polybern._CACHE,
      ((2, 0), 10), 10, "CUMSUM HSQ_BRIDGE"),
     (lambda: polybern.poly_bernoulli(10, 2, 1), polybern._CACHE,
      ((2, 1), 10), 10, "CUMSUM HSQ_BRIDGE"),
-], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "polybern-x0",
-        "polybern-x1"])
+], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
+        "polybern-x0", "polybern-x1"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
     for key in path[:-1]:

@@ -116,7 +116,7 @@ class TestStirling1:
 
 def test_each_triangle_grows_alone(cold):
     # each kind appends rows only to its own triangle, and cauchy1 advances
-    # a working row of [k,j] instead of filling either triangle
+    # a scaled working row of [k,j] instead of filling either triangle
     classical.cauchy1(300)
     assert (len(seqcore._S1), len(seqcore._S2)) == (1, 1)
     stirling2(40, 3)
@@ -128,7 +128,8 @@ def test_each_triangle_grows_alone(cold):
 def test_every_memo_table_is_registered_and_cleared():
     # each table's contents at import, written out independently of memo
     cold = {"_S2": [[1]], "_S1": [[1]], "_FACT": [1], "_H": [Fraction(0)],
-            "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [], "_EULER2": [1],
+            "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [],
+            "_BERN_SUM": [Fraction(1)], "_EULER2": [1], "_EULER_SUM": [1],
             "_EULER_POLYS": [Egf([1])], "_CAUCHY1": [Fraction(1)],
             "_CAUCHY1_ROW": [1], "_CALB_ROWS": {}, "_BERN_ROWS": {},
             "_CACHE": {}}
@@ -142,7 +143,9 @@ def test_every_memo_table_is_registered_and_cleared():
     registered = [table for table, _ in seqcore._MEMOS]
     assert all(any(v is t for t in registered) for _, v in tables)
     classical.bernoulli(60)
+    classical.bernoulli_sum(30)
     classical.euler_number(30)
+    classical.euler_sum(30)
     classical.euler_poly(8)
     classical.cauchy1(30)
     stirling1(30, 0)
