@@ -20,6 +20,7 @@ _BERN: list[Fraction] = memo([Fraction(1)])
 # the tangent number T_j, and len(_TAN) == (len(_BERN) - 1) // 2.
 _TAN: list[int] = memo([])
 _BERN_SUM: list[Fraction] = memo([Fraction(1)])  # sum_{j<=n} B_j
+_BERN_RECIP: dict[int, Fraction] = memo({})  # n -> sum_{j<=n} B_j/(n-j+1)
 _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
 _EULER_SUM: list[int] = memo([1])  # sum_{j<=n} e_j 2^(n-j) = 2^n sum E_j(0)
 _EULER_POLYS: list[Egf] = memo([Egf([1])])
@@ -64,15 +65,18 @@ def bernoulli_sum(n: int) -> Fraction:
 
 def bernoulli_reciprocal_sum(n: int) -> Fraction:
     """sum_{j<=n} B_j / (n - j + 1), summed in integers over the lcm of the
-    denominators B_j.denominator (n - j + 1) and normalised once (0 for
-    n < 0)."""
+    denominators B_j.denominator (n - j + 1), normalised once and memoised
+    per n (0 for n < 0)."""
     if n < 0:
         return Fraction(0)
-    bernoulli(n)
-    terms = [(b.numerator, b.denominator * (n - j + 1))
-             for j, b in enumerate(_BERN[:n + 1]) if b]
-    d = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (d // den) for num, den in terms), d)
+    if n not in _BERN_RECIP:
+        bernoulli(n)
+        terms = [(b.numerator, b.denominator * (n - j + 1))
+                 for j, b in enumerate(_BERN[:n + 1]) if b]
+        d = math.lcm(*(den for _, den in terms))
+        _BERN_RECIP[n] = Fraction(sum(num * (d // den) for num, den in terms),
+                                  d)
+    return _BERN_RECIP[n]
 
 
 def worpitzky_bernoulli(n: int) -> Fraction:

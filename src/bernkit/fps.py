@@ -10,6 +10,7 @@ is an `Egf` of order n, evaluated exactly by calling it.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .seqcore import binom, factorial
@@ -20,7 +21,8 @@ RatLike = Fraction | int
 class Egf:
     """A power series truncated at a fixed order, exact coefficients."""
 
-    # _ints: (d, [d * c for c in reversed(coeffs)]), filled by the first call
+    # _ints: (d, [d * c for c in coeffs]), d the lcm of the coefficients'
+    # denominators, filled by the first call or product that needs it
     __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: list[RatLike] | tuple[RatLike, ...]):
@@ -41,19 +43,23 @@ class Egf:
         """Exponential coefficient: n! times the ordinary coefficient."""
         return self.coeffs[n] * factorial(n)
 
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(d, [d c_i]): the coefficients over their lcm d, kept once."""
+        if self._ints is None:
+            d = math.lcm(*(c.denominator for c in self.coeffs))
+            self._ints = d, [c.numerator * (d // c.denominator)
+                             for c in self.coeffs]
+        return self._ints
+
     def __call__(self, x: RatLike) -> Fraction:
         """Exact value of the truncated polynomial at t = x, by one integer
         Horner pass: with x = a/b and the coefficients c_i over their lcm d,
         it is sum_i (d c_i) a^i b^(order-i) / (d b^order)."""
-        if self._ints is None:
-            d = math.lcm(*(c.denominator for c in self.coeffs))
-            self._ints = d, [c.numerator * (d // c.denominator)
-                             for c in reversed(self.coeffs)]
-        d, ints = self._ints
+        d, ints = self._scaled()
         x = Fraction(x)
         a, b = x.numerator, x.denominator
         acc, b_i = 0, 1  # b_i = b^i after i coefficients
-        for r in ints:
+        for r in reversed(ints):
             acc = acc * a + r * b_i
             b_i *= b
         return Fraction(acc * b, d * b_i)  # b_i = b^(order+1) here
@@ -104,16 +110,21 @@ def scale(a: Egf, c: RatLike) -> Egf:
 
 
 def mul(a: Egf, b: Egf) -> Egf:
+    """The product truncated at the smaller order. Each operand is taken
+    over its coefficients' lcm (da, db), the convolution is summed in
+    integers, skipping zero entries, and each output coefficient is one
+    Fraction over da db."""
     n = _common_order(a, b)
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
-    return Egf(out)
+    da, ia = a._scaled()
+    db, ib = b._scaled()
+    out = [0] * (n + 1)
+    for i, x in enumerate(ia[: n + 1]):
+        if x:
+            for k, y in enumerate(ib[: n + 1 - i], i):
+                if y:
+                    out[k] += x * y
+    d = da * db
+    return Egf([Fraction(c, d) for c in out])
 
 
 def inv(a: Egf) -> Egf:
@@ -196,15 +207,18 @@ def _poly_bernoulli_egf(order: int, p: int, x: RatLike) -> Egf:
     # Li_p(u)/u = sum_{k>=0} u^k/(k+1)^p with u = 1-e^{-t}, times e^{xt}.
     # row[k] is the integer c^k_n = n! [t^n] u^k, zero for k > n. Since
     # u' = 1 - u, (u^k)' = k(u^{k-1} - u^k), so c^k_{n+1} = k(c^{k-1}_n - c^k_n)
-    # from c^0_0 = 1. A build is O(order^2) integer steps and Fraction sums
-    # whatever p is, and divides by u without an inverse. It forms no power
-    # of u and reads no Stirling table: stirling_sum_oracle checks it.
-    weights = [Fraction(1, (k + 1) ** p) for k in range(order + 1)]
+    # from c^0_0 = 1. The weights 1/(k+1)^p are the integers d // (k+1)^p
+    # over d = lcm((k+1)^p), so each coefficient is one integer sum over
+    # d n!. A build is O(order^2) integer steps whatever p is, and divides
+    # by u without an inverse. It forms no power of u and reads no Stirling
+    # table: stirling_sum_oracle checks it.
+    d = math.lcm(*range(1, order + 2)) ** p
+    weights = [d // (k + 1) ** p for k in range(order + 1)]
     row = [1]
     coeffs = []
     for n in range(order + 1):
-        coeffs.append(sum(map(Fraction.__mul__, weights, row), Fraction(0))
-                      / factorial(n))
+        coeffs.append(Fraction(sum(map(operator.mul, weights, row)),
+                               d * factorial(n)))
         row = [0, *(k * (row[k - 1] - row[k]) for k in range(1, n + 1)),
                (n + 1) * row[n]]
     return mul(Egf(coeffs), exp_t(order, x))

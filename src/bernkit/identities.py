@@ -14,8 +14,10 @@ routes. `_calB_row` sums the whole row j = 0..n in integers over one
 denominator and memoises it as a list of Fractions; MAIN's left side,
 REDUCTION's left side and the right side of POLYX_COEFFS index it with the
 default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
-sums one entry directly and reads no row: REDUCTION's right side uses it,
-so that identity's two sides do not share the convolution. Agoh's
+sums one entry directly, as one integer sum over the column j of [k,j]
+against its own memo of the integer weights (-1)^k {n,k} weight(k) d, and
+reads no row: REDUCTION's right side uses it, so that identity's two sides
+do not share the convolution. Agoh's
 polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf`
 `_bern_row(n)`, and REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's
 right side and POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT,
@@ -24,7 +26,9 @@ row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one side only.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
 `worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
-(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly).
+(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly). The right
+sides of AGOH, AGOH_ALT and AGOH_EQ11 sum their reciprocals as one integer
+over lcm(1..m).
 """
 
 from __future__ import annotations
@@ -99,17 +103,29 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
             return q
 
 
+# (weight, n) -> (d, [(-1)^k {n,k} weight(k) d for k in 0..n]), d the lcm
+# of the denominators of weight(k) where {n,k} != 0
+_CALB_WEIGHTS: dict[tuple[Callable, int], tuple[int, list[int]]] = memo({})
+
+
 def _calB(n: int, j: int,
           weight: Callable[[int], Fraction] = harmonic) -> Fraction:
     """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] weight(k), by
-    default with weight(k) = H_k. The nonzero terms are summed in integers
-    over the lcm of their weights' denominators. Reads no row memo, so it
-    stays a route independent of `_calB_row`."""
-    terms = [(c, weight(k)) for k in range(j, n + 1)
-             if (c := (-1) ** (k - j) * stirling2(n, k) * stirling1(k, j))]
-    d = math.lcm(*(w.denominator for _, w in terms))
-    return Fraction(sum(c * w.numerator * (d // w.denominator)
-                        for c, w in terms), d)
+    default with weight(k) = H_k: one integer sum over the column j of
+    [k,j] against the integer weights of `_CALB_WEIGHTS`, memoised per
+    (weight, n), where weight(k) is read only if {n,k} != 0. Reads no row
+    memo, so it stays a route independent of `_calB_row`."""
+    key = (weight, n)
+    if key not in _CALB_WEIGHTS:
+        cs = [stirling2(n, k) for k in range(n + 1)]
+        ws = [weight(k) if c else 0 for k, c in enumerate(cs)]
+        d = math.lcm(*(w.denominator for w in ws))
+        _CALB_WEIGHTS[key] = d, [(-1) ** k * c * w.numerator
+                                 * (d // w.denominator)
+                                 for k, (c, w) in enumerate(zip(cs, ws))]
+    d, vs = _CALB_WEIGHTS[key]
+    return Fraction((-1) ** j * sum(v * stirling1(k, j)
+                                    for k, v in enumerate(vs[j:], j) if v), d)
 
 
 def _reciprocal(k: int) -> Fraction:
@@ -198,8 +214,10 @@ def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
 
 
 def _agoh_rhs(n: int, m: int) -> Fraction:
-    return Fraction(m) ** n * (harmonic(m) - harmonic(n)) - sum(
-        (Fraction((m - j) ** n, j) for j in range(1, m + 1)), Fraction(0))
+    # sum_{j=1..m} (m-j)^n / j as one integer over L = lcm(1..m)
+    L = math.lcm(*range(1, m + 1))
+    return m**n * (harmonic(m) - harmonic(n)) - Fraction(
+        sum((m - j) ** n * (L // j) for j in range(1, m + 1)), L)
 
 
 def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
@@ -207,9 +225,13 @@ def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
 
 
 def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
+    # with z = a/b, sum_{k<m} z^k / (m-k) is one integer over L b^m,
+    # L = lcm(1..m)
     z = Fraction(z)
-    return harmonic(m) * z**m - sum(
-        (z**k / (m - k) for k in range(m)), Fraction(0))
+    a, b = z.numerator, z.denominator
+    L = math.lcm(*range(1, m + 1))
+    return harmonic(m) * z**m - Fraction(
+        sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)), L * b**m)
 
 
 def _hw_cauchy_rhs(n: int) -> Fraction:

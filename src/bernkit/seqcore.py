@@ -67,9 +67,16 @@ def stirling2(n: int, k: int) -> int:
 def stirling2_transform(n: int, weight: Callable[[int], Fraction | int],
                         lo: int = 1) -> Fraction:
     """The Stirling transform sum_{k=lo..n} {n,k} weight(k) (Bernstein &
-    Sloane, "Some canonical sequences of integers", 1995)."""
-    return sum((stirling2(n, k) * weight(k) for k in range(lo, n + 1)),
-               Fraction(0))
+    Sloane, "Some canonical sequences of integers", 1995).
+
+    weight(k) is read only where {n,k} != 0. The terms are summed in
+    integers over d, the lcm of the weights' denominators, and the sum is
+    normalised once."""
+    terms = [(c, weight(k)) for k in range(lo, n + 1)
+             if (c := stirling2(n, k))]
+    d = math.lcm(*(w.denominator for _, w in terms))
+    return Fraction(sum(c * w.numerator * (d // w.denominator)
+                        for c, w in terms), d)
 
 
 def stirling1(n: int, k: int) -> int:

@@ -89,9 +89,14 @@ def test_exact_evaluation():
     assert Egf([Fraction(1, 3), 0, 1])(Fraction(1, 2)) == Fraction(7, 12)
 
 
-@given(st.integers(0, 30).flatmap(lambda order: st.lists(
-           st.one_of(st.integers(-50, 50), _rationals, st.just(0)),
-           min_size=order + 1, max_size=order + 1)),
+# coefficient lists of an order drawn uniformly from 0..30, mixing ints,
+# Fractions and zeros
+_coeff_lists = st.integers(0, 30).flatmap(lambda order: st.lists(
+    st.one_of(st.integers(-50, 50), _rationals, st.just(0)),
+    min_size=order + 1, max_size=order + 1))
+
+
+@given(_coeff_lists,
        st.lists(st.one_of(st.integers(-30, 30), _rationals), max_size=4))
 def test_call_matches_fraction_horner(coeffs, xs):
     # the first call fills the integer form, the later calls on the same
@@ -103,6 +108,21 @@ def test_call_matches_fraction_horner(coeffs, xs):
             acc = acc * x + c
         value = a(x)
         assert type(value) is Fraction and value == acc
+
+
+@given(_coeff_lists, _coeff_lists, st.booleans())
+def test_mul_matches_fraction_schoolbook(ca, cb, called):
+    # unequal orders truncate to the smaller one; when `called`, the left
+    # operand's integer form is the one its Horner call filled
+    a, b = Egf(ca), Egf(cb)
+    if called:
+        a(3)
+    n = min(len(ca), len(cb)) - 1
+    want = [sum((Fraction(ca[i]) * cb[k - i] for i in range(k + 1)),
+                Fraction(0)) for k in range(n + 1)]
+    got = mul(a, b)
+    assert got.order == n and list(got.coeffs) == want
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_equality_requires_same_order():

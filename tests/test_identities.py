@@ -261,6 +261,14 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: classical.bernoulli_sum(10), classical._BERN_SUM, (10,), 16,
      "CUMSUM EQ14 C4 C1SQ"),
     (lambda: classical.euler_sum(9), classical._EULER_SUM, (9,), 16, "C2"),
+    # C3 reads p * (sum + 1), unchanged mod p, so only C3SQ's mod-p^2
+    # statement catches it at p = 11
+    (lambda: classical.bernoulli_reciprocal_sum(11), classical._BERN_RECIP,
+     (11,), 16, "HW_CAUCHY C3SQ"),
+    # REDUCTION's right side alone reads the direct convolution's weights;
+    # (-1)^4 {11,4} H_4 d plus 1 fails it at n = 11, j - 1 = 1..4
+    (lambda: identities._calB(11, 1), identities._CALB_WEIGHTS,
+     ((seqcore.harmonic, 11), 1, 4), 16, "REDUCTION"),
     # n_max = 10: past order 10, CUMSUM's walk rebuilds the (2, x) series
     # and replaces the perturbed list before HSQ_BRIDGE reads it
     (lambda: polybern.poly_bernoulli(10, 2, 0), polybern._CACHE,
@@ -268,7 +276,7 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: polybern.poly_bernoulli(10, 2, 1), polybern._CACHE,
      ((2, 1), 10), 10, "CUMSUM HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
-        "polybern-x0", "polybern-x1"])
+        "BERN_RECIP", "CALB_WEIGHTS", "polybern-x0", "polybern-x1"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
     for key in path[:-1]:
@@ -322,6 +330,31 @@ class TestRowKernels:
         assert lhs["AGOH_EQ11"](m=m, z=x) == sum(
             (seqcore.binom_int(m, k) * seqcore.harmonic(k) * (x - 1) ** k
              for k in range(m + 1)), Fraction(0))
+
+    def test_agoh_right_sides_match_fraction_sums(self):
+        # the right sides as they read with one Fraction per term
+        H = seqcore.harmonic
+
+        def agoh(n, m):
+            return Fraction(m) ** n * (H(m) - H(n)) - sum(
+                (Fraction((m - j) ** n, j) for j in range(1, m + 1)),
+                Fraction(0))
+
+        def eq11(m, z):
+            z = Fraction(z)
+            return H(m) * z**m - sum((z**k / (m - k) for k in range(m)),
+                                     Fraction(0))
+
+        for n in range(61):
+            for m in range(21):
+                got = identities._agoh_rhs(n, m)
+                assert type(got) is Fraction and got == agoh(n, m), (n, m)
+        zs = [0, 1, -1, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(24, 11),
+              Fraction(-1, 12), Fraction(13, 6)]
+        for m in range(21):
+            for z in zs:
+                got = identities._agoh_eq11_rhs(m, z)
+                assert type(got) is Fraction and got == eq11(m, z), (m, z)
 
     def test_perturbed_calB_row_is_caught(self, cold):
         # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the

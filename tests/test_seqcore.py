@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bernkit import classical, identities, polybern, seqcore
 from bernkit.fps import Egf
@@ -129,10 +129,10 @@ def test_every_memo_table_is_registered_and_cleared():
     # each table's contents at import, written out independently of memo
     cold = {"_S2": [[1]], "_S1": [[1]], "_FACT": [1], "_H": [Fraction(0)],
             "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [],
-            "_BERN_SUM": [Fraction(1)], "_EULER2": [1], "_EULER_SUM": [1],
-            "_EULER_POLYS": [Egf([1])], "_CAUCHY1": [Fraction(1)],
-            "_CAUCHY1_ROW": [1], "_CALB_ROWS": {}, "_BERN_ROWS": {},
-            "_CACHE": {}}
+            "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
+            "_EULER_SUM": [1], "_EULER_POLYS": [Egf([1])],
+            "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_CALB_ROWS": {},
+            "_CALB_WEIGHTS": {}, "_BERN_ROWS": {}, "_CACHE": {}}
     tables = [(name, value)
               for mod in (seqcore, classical, identities, polybern)
               for name, value in vars(mod).items()
@@ -144,6 +144,7 @@ def test_every_memo_table_is_registered_and_cleared():
     assert all(any(v is t for t in registered) for _, v in tables)
     classical.bernoulli(60)
     classical.bernoulli_sum(30)
+    classical.bernoulli_reciprocal_sum(30)
     classical.euler_number(30)
     classical.euler_sum(30)
     classical.euler_poly(8)
@@ -153,6 +154,7 @@ def test_every_memo_table_is_registered_and_cleared():
     harmonic_gen(30, 3)
     eval_identity(IdentityCase("MAIN", {"n": 12, "j": 5}))
     eval_identity(IdentityCase("AGOH", {"n": 12, "m": 3}))
+    eval_identity(IdentityCase("REDUCTION", {"n": 12, "j": 3}))
     polybern.poly_bernoulli(20, 2, 1)
     assert all(value != cold[name] for name, value in tables)
     clear_memos()
@@ -194,6 +196,38 @@ class TestStirling2Transform:
                 x = Fraction(rng.randint(-24, 24), rng.randint(1, 12))
                 assert stirling2_transform(
                     n, lambda k: factorial(k) * binom(x, k), lo=0) == x**n
+
+    @given(values=st.integers(0, 40).flatmap(lambda n: st.lists(st.one_of(
+               st.integers(-50, 50), st.just(0),
+               st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))),
+               min_size=n + 1, max_size=n + 1)),
+           lo=st.sampled_from([0, 1, 2, 3]))
+    @example(values=[Fraction(7, 3)], lo=0)
+    @example(values=[Fraction(7, 3)], lo=1)
+    @example(values=[1, 2, 3], lo=3)
+    def test_matches_fraction_fold(self, values, lo):
+        # weight(k) = values[k] for k <= n: int, Fraction and zero weights;
+        # n = 0 and lo > n (an empty range) are drawn too
+        n = len(values) - 1
+        want = Fraction(0)
+        for k in range(lo, n + 1):
+            want += stirling2(n, k) * values[k]
+        got = stirling2_transform(n, values.__getitem__, lo)
+        assert type(got) is Fraction and got == want
+
+    def test_weight_is_read_only_where_stirling2_is_nonzero(self):
+        assert stirling2_transform(4, lambda k: Fraction(1, k), lo=0) == (
+            Fraction(1) + Fraction(7, 2) + Fraction(6, 3) + Fraction(1, 4))
+        assert stirling2_transform(2, lambda k: 1 // 0, lo=3) == 0
+
+    def test_weight_exception_propagates(self):
+        def weight(k):
+            if k == 3:
+                raise ZeroDivisionError("probe")
+            return Fraction(1, k)
+
+        with pytest.raises(ZeroDivisionError, match="probe"):
+            stirling2_transform(5, weight)
 
     def test_lo_zero_at_n_zero_is_weight_of_zero(self):
         assert stirling2_transform(0, lambda k: Fraction(7, 3) + k,
