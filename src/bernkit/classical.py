@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, harmonic, memo, stirling2,
+from .seqcore import (binom, binom_int, factorial, memo, stirling2,
                       stirling2_transform)
 
 
@@ -28,6 +28,8 @@ _CAUCHY1: list[Fraction] = memo([Fraction(1)])
 # T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
 # integer since j + 1 divides L; the last entry is T_k = L / (k+1)
 _CAUCHY1_ROW: list[int] = memo([1])
+# x = a/b -> [F_0, F_1, ...], F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b)
+_HW_FALLING: dict[Fraction, list[int]] = memo({})
 
 
 def bernoulli(n: int) -> Fraction:
@@ -192,19 +194,23 @@ def cauchy1_integral(k: int) -> Fraction:
 def hw(n: int, x) -> Fraction:
     """Harmonic-weighted Stirling transform sum_k {n,k} binom(x,k) k! H_k.
 
-    With x = a/b, k! b^k binom(x,k) and lcm(1..n) H_k (k <= n) are
-    integers, so the sum is taken in integers over b^n lcm(1..n) and
-    normalised once."""
+    With x = a/b, F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b) and
+    d H_k, d = lcm(1..n), are integers. The F_k are kept per x and grow by
+    appending, each new one read once from binom(x, k); d H_k is carried
+    as the running sum of d // k. The sum over b^n d is one Horner pass in
+    b, total <- total b + {n,k} F_k d H_k, normalised once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
     x = Fraction(x)
     b = x.denominator
+    falling = _HW_FALLING.setdefault(x, [1])
+    while len(falling) <= n:
+        k = len(falling)
+        c = binom(x, k)
+        falling.append(c.numerator * (factorial(k) * b**k // c.denominator))
     d = math.lcm(*range(1, n + 1))
-    total, b_k = 0, 1  # b_k = b^k
+    total = dh = 0  # dh = d H_k
     for k in range(1, n + 1):
-        b_k *= b
-        c, h = binom(x, k), harmonic(k)
-        total += (stirling2(n, k) * c.numerator
-                  * (factorial(k) * b_k // c.denominator) * b ** (n - k)
-                  * h.numerator * (d // h.denominator))
+        dh += d // k
+        total = total * b + stirling2(n, k) * falling[k] * dh
     return Fraction(total, b**n * d)

@@ -28,7 +28,8 @@ class Egf:
     def __init__(self, coeffs: list[RatLike] | tuple[RatLike, ...]):
         if not coeffs:
             raise ValueError("series needs at least the constant term")
-        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+        self.coeffs: tuple[Fraction, ...] = tuple(
+            c if type(c) is Fraction else Fraction(c) for c in coeffs)
         self._ints: tuple[int, list[int]] | None = None
 
     @property

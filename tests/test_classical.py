@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernkit import classical, fps, seqcore
@@ -219,14 +219,40 @@ class TestHw:
             for m in range(1, 8):
                 assert hw_closed_integer(n, m) == hw(n, m)
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 30), a=st.integers(-24, 24), b=st.integers(1, 12))
-    def test_matches_fraction_transform(self, n, a, b):
+    @settings(max_examples=40, deadline=None)
+    @given(n_max=st.integers(1, 40), a=st.integers(-24, 24),
+           b=st.integers(1, 12), descending=st.booleans())
+    @example(n_max=40, a=0, b=1, descending=True)
+    @example(n_max=40, a=7, b=1, descending=False)
+    @example(n_max=40, a=-13, b=1, descending=True)
+    @example(n_max=40, a=-17, b=7, descending=False)
+    def test_matches_fraction_transform(self, n_max, a, b, descending):
         # reference: the Stirling transform of binom(x,k) k! H_k, one
-        # normalised Fraction per term
+        # normalised Fraction per term. Each walk starts cold, is repeated
+        # on the warm row with another x's row grown in between, and runs
+        # again after clear_memos; compute walks n downward.
         x = Fraction(a, b)
-        assert hw(n, x) == stirling2_transform(
+        walk = range(n_max, 0, -1) if descending else range(1, n_max + 1)
+        want = [stirling2_transform(
             n, lambda k: binom(x, k) * factorial(k) * harmonic(k))
+            for n in walk]
+        for _ in range(2):
+            clear_memos()
+            assert [hw(n, x) for n in walk] == want
+            hw(n_max + 3, x + 1)
+            assert [hw(n, x) for n in walk] == want
+            assert len(classical._HW_FALLING[x]) == n_max + 1
+
+    def test_perturbed_falling_row_is_caught(self, cold):
+        # F_10 = 10! b^10 binom(x,10) plus 1 at x = -2 fails exactly the
+        # POLYX cases with that x and n >= 10; its case at n = 8 reads
+        # F_1..F_8 only, and the row past F_10 grows from binom, not from F_10
+        x = Fraction(-2)
+        hw(10, x)
+        classical._HW_FALLING[x][10] += 1
+        report = verify_identity("POLYX", SweepBounds(n_max=16))
+        assert [(f["params"]["n"], f["params"]["x"])
+                for f in report.failures] == [(n, x) for n in range(10, 14)]
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):

@@ -269,6 +269,10 @@ def test_perturbed_bernoulli_is_caught(cold):
     # (-1)^4 {11,4} H_4 d plus 1 fails it at n = 11, j - 1 = 1..4
     (lambda: identities._calB(11, 1), identities._CALB_WEIGHTS,
      ((seqcore.harmonic, 11), 1, 4), 16, "REDUCTION"),
+    # hw alone reads its falling-product row; x = 16/9 draws POLYX cases at
+    # n = 5, 16, 16, and F_6 is read only by the two at n = 16
+    (lambda: classical.hw(10, Fraction(16, 9)), classical._HW_FALLING,
+     (Fraction(16, 9), 6), 16, "POLYX"),
     # n_max = 10: past order 10, CUMSUM's walk rebuilds the (2, x) series
     # and replaces the perturbed list before HSQ_BRIDGE reads it
     (lambda: polybern.poly_bernoulli(10, 2, 0), polybern._CACHE,
@@ -276,7 +280,8 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: polybern.poly_bernoulli(10, 2, 1), polybern._CACHE,
      ((2, 1), 10), 10, "CUMSUM HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
-        "BERN_RECIP", "CALB_WEIGHTS", "polybern-x0", "polybern-x1"])
+        "BERN_RECIP", "CALB_WEIGHTS", "HW_FALLING", "polybern-x0",
+        "polybern-x1"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
     for key in path[:-1]:

@@ -27,6 +27,13 @@ def test_bernoulli_matches_sympy(cold):
     assert [classical.worpitzky_bernoulli(n) for n in range(2, 121)] == want
 
 
+def test_euler_at_zero_matches_sympy(cold):
+    # sympy.euler(n, 0) is the Euler polynomial E_n(x) at x = 0, the value
+    # euler_number returns; sympy.euler(n) alone is the secant number
+    want = [_q(sympy.euler(n, 0)) for n in range(61)]
+    assert [classical.euler_number(n) for n in range(61)] == want
+
+
 def test_harmonic_and_its_ogf_match_sympy(cold):
     order = 60
     want = [_q(sympy.harmonic(n)) for n in range(order + 1)]

@@ -131,8 +131,9 @@ def test_every_memo_table_is_registered_and_cleared():
             "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
             "_EULER_SUM": [1], "_EULER_POLYS": [Egf([1])],
-            "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_CALB_ROWS": {},
-            "_CALB_WEIGHTS": {}, "_BERN_ROWS": {}, "_CACHE": {}}
+            "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_HW_FALLING": {},
+            "_CALB_ROWS": {}, "_CALB_WEIGHTS": {}, "_BERN_ROWS": {},
+            "_CACHE": {}}
     tables = [(name, value)
               for mod in (seqcore, classical, identities, polybern)
               for name, value in vars(mod).items()
@@ -149,6 +150,7 @@ def test_every_memo_table_is_registered_and_cleared():
     classical.euler_sum(30)
     classical.euler_poly(8)
     classical.cauchy1(30)
+    classical.hw(12, Fraction(-3, 5))
     stirling1(30, 0)
     stirling2(30, 0)
     harmonic_gen(30, 3)
