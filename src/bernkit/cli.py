@@ -3,17 +3,23 @@
 Subcommands: compute | verify | congruence | series. Exit codes: 0 all
 checks pass, 1 verified failure(s), 2 usage/config error. Every rational is
 printed as "num/den" in lowest terms; no floating point appears anywhere.
+
+Output goes to --out or stdout one row at a time: the sink is opened first,
+and no format builds the whole document as one string (JSON joins one list
+of only ints or only strs at a time). The JSON form is
+json.dumps(payload, indent=2) plus a newline, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import classical, congr, fps, identities, polybern, seqcore
 
@@ -24,7 +30,6 @@ SEQUENCES = ("bernoulli", "euler", "cauchy1", "stirling1", "stirling2",
 def rat_str(r) -> str:
     if r is None:
         return "indeterminate"
-    r = Fraction(r)
     return f"{r.numerator}/{r.denominator}"
 
 
@@ -55,32 +60,62 @@ def _json_value(v):
 
 
 def _emit(payload: dict, args) -> int:
-    """Write the payload; exit code 0, or 2 when --out cannot be opened."""
+    """Write the payload to --out or stdout, one row at a time; exit code 0,
+    or 2 (and nothing written) when --out cannot be opened."""
     if not args.no_meta:
         payload = {"meta": {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
                    **payload}
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _to_csv(payload)
-    else:
-        text = _to_markdown(payload)
     if args.out:
         try:
-            fh = open(args.out, "w")
+            sink = open(args.out, "w")
         except OSError as exc:
             print(f"--out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
-        with fh:
-            fh.write(text)
     else:
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        if args.format == "json":
+            _write_json(out, payload)
+            out.write("\n")
+        elif args.format == "csv":
+            _write_csv(out, payload)
+        else:
+            _write_markdown(out, payload)
     return 0
 
 
-def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
+def _write_json(out, value, depth: int = 0) -> None:
+    """Write `value` exactly as json.dumps(value, indent=2) lays it out, one
+    item per write; a list of only ints or only strs is one join."""
+    if not isinstance(value, (dict, list)) or not value:
+        out.write(json.dumps(value))
+        return
+    pad = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth
+    if isinstance(value, dict):
+        sep = "{" + pad
+        for k, v in value.items():
+            out.write(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(out, v, depth + 1)
+            sep = "," + pad
+        out.write(end + "}")
+    elif all(type(v) is int for v in value):
+        out.write("[" + pad + ("," + pad).join(map(int.__repr__, value))
+                  + end + "]")
+    elif all(type(v) is str for v in value):
+        out.write("[" + pad + ("," + pad).join(map(encode_basestring_ascii,
+                                                   value)) + end + "]")
+    else:
+        sep = "[" + pad
+        for v in value:
+            out.write(sep)
+            _write_json(out, v, depth + 1)
+            sep = "," + pad
+        out.write(end + "]")
+
+
+def _write_csv(out, payload: dict) -> None:
+    w = csv.writer(out)
     if "values" in payload:
         w.writerow(["index", "value"])
         for i, v in enumerate(payload["values"]):
@@ -98,34 +133,34 @@ def _to_csv(payload: dict) -> str:
                         json.dumps(f["lhs"]), json.dumps(f["rhs"])])
         for note in payload.get("notes", []):
             w.writerow(["note", note])
-    return buf.getvalue()
 
 
-def _to_markdown(payload: dict) -> str:
-    lines = []
+def _write_markdown(out, payload: dict) -> None:
+    def line(text: str) -> None:
+        out.write(text + "\n")
+
     if "values" in payload:
-        lines.append(f"## {payload.get('sequence', payload.get('series', ''))}")
-        lines.append("")
-        lines.append("| n | value |")
-        lines.append("|---|-------|")
+        line(f"## {payload.get('sequence', payload.get('series', ''))}")
+        line("")
+        line("| n | value |")
+        line("|---|-------|")
         for i, v in enumerate(payload["values"]):
-            lines.append(f"| {i} | {v} |")
+            line(f"| {i} | {v} |")
     elif "rows" in payload:
-        lines.append(f"## {payload['sequence']}")
-        lines.append("")
+        line(f"## {payload['sequence']}")
+        line("")
         for n, row in enumerate(payload["rows"]):
-            lines.append(f"- row {n}: {' '.join(str(v) for v in row)}")
+            line(f"- row {n}: {' '.join(str(v) for v in row)}")
     else:
-        lines.append(f"## suite: {payload['suite']}")
-        lines.append("")
-        lines.append(f"- cases: {payload['cases']}")
-        lines.append(f"- failures: {len(payload.get('failures', []))}")
+        line(f"## suite: {payload['suite']}")
+        line("")
+        line(f"- cases: {payload['cases']}")
+        line(f"- failures: {len(payload.get('failures', []))}")
         for f in payload.get("failures", []):
-            lines.append(f"  - {f['id']} {json.dumps(f['params'], sort_keys=True)}"
-                         f": lhs={f['lhs']} rhs={f['rhs']}")
+            line(f"  - {f['id']} {json.dumps(f['params'], sort_keys=True)}"
+                 f": lhs={f['lhs']} rhs={f['rhs']}")
         for note in payload.get("notes", []):
-            lines.append(f"- note: {note}")
-    return "\n".join(lines) + "\n"
+            line(f"- note: {note}")
 
 
 def _cmd_compute(args) -> int:

@@ -1,13 +1,18 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bernkit import classical, cli, congr, identities
+from bernkit import classical, cli, congr, identities, seqcore
 from bernkit.identities import CATALOG
 from bernkit.seqcore import harmonic
 
@@ -128,6 +133,16 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["suite"] == "identities"
+        # the sink is opened before anything is written: same bytes either way
+        for argv in (("compute", "stirling1", "--n-max", "6"),
+                     ("verify", "H1", "--n-max", "8")):
+            for fmt in ("json", "csv", "markdown"):
+                argv_fmt = (*argv, "--no-meta", "--format", fmt)
+                code, out = run(capsys, *argv_fmt, "--out", str(path))
+                assert code == 0 and out == ""
+                code, printed = run(capsys, *argv_fmt)
+                assert code == 0
+                assert path.read_bytes() == printed.encode()
 
     def test_csv_and_markdown_formats(self, capsys):
         code, out = run(capsys, "verify", "H1", "--n-max", "8", "--no-meta",
@@ -236,6 +251,60 @@ def test_values_past_the_int_str_digit_limit(capsys):
                              "--n-max", "1", "--p", "15000", "--no-meta")
     assert code == 0
     assert payload["values"][1] == "1/" + str(2**15000)
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    """Lift CPython's int/str digit limit for a block, as cli.main does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# The JSON the CLI emits: str keys; ints (some past 4,300 digits), strings
+# with escapes and non-ASCII characters, None and bools; empty, uniform and
+# mixed lists.
+_CHARS = '"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600'
+_TEXT = st.text(st.sampled_from(_CHARS) | st.characters(), max_size=8)
+_INTS = st.one_of(st.integers(), st.builds(
+    lambda sign, digits: sign * (10 ** digits + 7),
+    st.sampled_from((-1, 1)), st.integers(4300, 4400)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(_INTS, max_size=4)
+                  | st.lists(_TEXT, max_size=4)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(_TEXT, _JSON, max_size=4))
+@example({"a": {"b": [{"c": [], "d": {}}, [1, "x", None, True]], "e": []}})
+def test_json_writer_is_json_dumps_indent_2(payload):
+    args = argparse.Namespace(format="json", out=None, no_meta=True)
+    with no_int_str_limit(), contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli._emit(payload, args) == 0
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_writing_holds_one_row_not_the_document(tmp_path, capsys):
+    seqcore.stirling2(200, 0)  # fill the triangle: only the writing is traced
+    path = tmp_path / "s2.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["compute", "stirling2", "--n-max", "200", "--no-meta",
+                         "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == ""
+    assert peak < path.stat().st_size / 2
 
 
 def test_python_m_bernkit_runs_the_cli(capsys):
