@@ -52,6 +52,7 @@ def _too_small(args, **least) -> bool:
 def _json_value(v):
     """One failure-record value: a residue as {value, modulus}, an int or
     str parameter as is, anything else as a rational string."""
+    # a Residue is a tuple: keep this branch ahead of any sequence branch
     if isinstance(v, congr.Residue):
         return {"value": v.value, "modulus": v.modulus}
     if isinstance(v, (int, str)):

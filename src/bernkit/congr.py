@@ -4,14 +4,19 @@ prime-congruence catalog.
 Every sum is evaluated exactly first (running prefix sums and integer sums
 over one denominator, kept in `classical`) and only then reduced; individual
 terms may carry the prime in a denominator that cancels in aggregate.
+
+Residues (`Residue`) and statement results (`CongruenceResult`) are
+immutable tuple values; a residue is range-checked whenever it is
+constructed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_sum)
@@ -23,27 +28,35 @@ class DenominatorDivisibleByP(ArithmeticError):
     """The reduced denominator shares a factor with the modulus prime."""
 
 
-@dataclass(frozen=True)
-class Residue:
-    value: int
-    modulus: int
+class Residue(namedtuple("Residue", "value modulus")):
+    """A residue class, value mod modulus, with 0 <= value < modulus.
+    Immutable; every construction is range-checked, `_make` and `_replace`
+    included."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus:
+    def __new__(cls, value: int, modulus: int):
+        if not 0 <= value < modulus:
             raise ValueError("residue out of range")
+        return tuple.__new__(cls, (value, modulus))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
 
 
 def rational_mod(r, modulus: int, p: int) -> Residue:
-    """Reduce a rational modulo p or p^2 via the modular inverse of its
-    denominator. Raises DenominatorDivisibleByP when the reduction is
+    """Reduce a rational modulo the prime p or p^2 via the modular inverse of
+    its denominator. Raises DenominatorDivisibleByP when the reduction is
     ill-posed."""
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
     if modulus not in (p, p * p):
         raise ValueError("modulus must be p or p^2")
+    if isinstance(r, int):  # denominator 1, which p never divides
+        return Residue(r % modulus, modulus)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"denominator {r.denominator} divisible by {p} for value {r}")
@@ -51,8 +64,7 @@ def rational_mod(r, modulus: int, p: int) -> Residue:
     return Residue(value, modulus)
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
+class CongruenceResult(NamedTuple):
     id: str
     p: int
     label: str
@@ -155,10 +167,8 @@ def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> Report:
                 report.failures.append({"id": id, "params": {"p": p, "case": ""},
                                         "lhs": None, "rhs": None})
                 continue
-            for res in results:
-                report.cases += 1
-                if not res.passed:
-                    report.failures.append(
-                        {"id": id, "params": {"p": p, "case": res.label},
-                         "lhs": res.lhs, "rhs": res.rhs})
+            report.cases += len(results)
+            report.failures += [{"id": id, "params": {"p": p, "case": res.label},
+                                 "lhs": res.lhs, "rhs": res.rhs}
+                                for res in results if not res.passed]
     return report

@@ -21,8 +21,10 @@ class TestRationalMod:
             rational_mod(Fraction(1, 3), 3, 3)
 
     def test_modulus_validation(self):
-        with pytest.raises(ValueError):
-            rational_mod(Fraction(1, 2), 15, 3)
+        # an int is reduced directly, but only after the modulus is checked
+        for r in (Fraction(1, 2), 0, 5, -5, 2**300):
+            with pytest.raises(ValueError):
+                rational_mod(r, 15, 3)
 
     def test_square_modulus(self):
         assert rational_mod(Fraction(1, 2), 25, 5) == Residue(13, 5 * 5)
@@ -47,10 +49,36 @@ class TestRationalMod:
         assert rational_mod(a + b, m, p).value == (ra + rb) % m
         assert rational_mod(a * b, m, p).value == ra * rb % m
 
+    @given(st.one_of(st.integers(max_value=-1), st.just(0),
+                     st.integers(min_value=2**256 + 1, max_value=2**320)),
+           st.sampled_from([3, 5, 7, 11, 151]), st.booleans())
+    def test_int_fast_path_matches_fraction(self, n, p, square):
+        m = p * p if square else p
+        assert rational_mod(n, m, p) == rational_mod(Fraction(n), m, p)
+
 
 def test_residue_range_enforced():
     with pytest.raises(ValueError):
         Residue(7, 5)
+    r = Residue(1, 3)
+    for make in (lambda: r._replace(value=7), lambda: Residue._make((7, 5)),
+                 lambda: Residue(-1, 3)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_value_types():
+    r = Residue(1, 3)
+    with pytest.raises(AttributeError):
+        r.value = 2
+    assert r == Residue(1, 3) and hash(r) == hash(Residue(1, 3))
+    assert repr(r) == "Residue(value=1, modulus=3)"
+    assert str(r) == "1 (mod 3)"
+    assert congr.CongruenceResult._fields == (
+        "id", "p", "label", "lhs", "rhs", "passed")
+    (res,) = check_congruence("C1", 5)
+    with pytest.raises(AttributeError):
+        res.passed = False
 
 
 def test_odd_primes():
