@@ -81,12 +81,15 @@ def bernoulli_reciprocal_sum(n: int) -> Fraction:
     return _BERN_RECIP[n]
 
 
+def _worpitzky_weight(k: int) -> Fraction:
+    return (-1) ** k * Fraction(factorial(k), k + 1)
+
+
 def worpitzky_bernoulli(n: int) -> Fraction:
     """B_n from the alternating Stirling sum sum_k (-1)^k {n,k} k!/(k+1)."""
     if n < 1:
         raise ValueError("worpitzky_bernoulli requires n >= 1")
-    return stirling2_transform(
-        n, lambda k: (-1) ** k * Fraction(factorial(k), k + 1))
+    return stirling2_transform(n, _worpitzky_weight)
 
 
 def bernoulli_poly(n: int) -> Egf:

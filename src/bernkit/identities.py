@@ -14,10 +14,10 @@ routes. `_calB_row` sums the whole row j = 0..n in integers over one
 denominator and memoises it as a list of Fractions; MAIN's left side,
 REDUCTION's left side and the right side of POLYX_COEFFS index it with the
 default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
-sums one entry directly, as one integer sum over the column j of [k,j]
-against its own memo of the integer weights (-1)^k {n,k} weight(k) d, and
-reads no row: REDUCTION's right side uses it, so that identity's two sides
-do not share the convolution. Agoh's
+sums one entry directly, as one integer sum over the column j of [k,j],
+read from the filled S1 rows, against its own memo of the integer weights
+(-1)^k {n,k} weight(k) d, and reads no row memo: REDUCTION's right side
+uses it, so that identity's two sides do not share the convolution. Agoh's
 polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf`
 `_bern_row(n)`, and REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's
 right side and POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT,
@@ -26,9 +26,13 @@ row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one side only.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
 `worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
-(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly). The right
-sides of AGOH, AGOH_ALT and AGOH_EQ11 sum their reciprocals as one integer
-over lcm(1..m).
+(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly). Each of
+its weights is a module-level function (`_h1_weight`, `_h2_weight`,
+`_k3_weight`, `_hsq_weight`, `_cauchy_h_weight` and
+`classical._worpitzky_weight`), so every case of an id reads the one
+integer column that the transform keeps per weight, and each weight is
+computed once per k. The right sides of AGOH, AGOH_ALT and AGOH_EQ11 sum
+their reciprocals as one integer over lcm(1..m).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_number, hw, worpitzky_bernoulli)
 from .fps import Egf
 from .polybern import dibernoulli, dibernoulli_at_one
+from . import seqcore
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, memo,
                       stirling1, stirling2, stirling2_transform)
 
@@ -112,9 +117,10 @@ def _calB(n: int, j: int,
           weight: Callable[[int], Fraction] = harmonic) -> Fraction:
     """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] weight(k), by
     default with weight(k) = H_k: one integer sum over the column j of
-    [k,j] against the integer weights of `_CALB_WEIGHTS`, memoised per
-    (weight, n), where weight(k) is read only if {n,k} != 0. Reads no row
-    memo, so it stays a route independent of `_calB_row`."""
+    [k,j], read from the S1 rows k = j..n after one fill, against the
+    integer weights of `_CALB_WEIGHTS`, memoised per (weight, n), where
+    weight(k) is read only if {n,k} != 0. Reads no row memo, so it stays a
+    route independent of `_calB_row`."""
     key = (weight, n)
     if key not in _CALB_WEIGHTS:
         cs = [stirling2(n, k) for k in range(n + 1)]
@@ -124,8 +130,9 @@ def _calB(n: int, j: int,
                                  * (d // w.denominator)
                                  for k, (c, w) in enumerate(zip(cs, ws))]
     d, vs = _CALB_WEIGHTS[key]
-    return Fraction((-1) ** j * sum(v * stirling1(k, j)
-                                    for k, v in enumerate(vs[j:], j) if v), d)
+    stirling1(n, 0)
+    return Fraction((-1) ** j * sum(v * row[j] for v, row
+                                    in zip(vs[j:], seqcore._S1[j:n + 1])), d)
 
 
 def _reciprocal(k: int) -> Fraction:
@@ -158,9 +165,15 @@ def _calB_row(n: int, weight: Callable[[int], Fraction] = harmonic
     return _CALB_ROWS[key]
 
 
+# The weights of the Stirling transforms, each one module-level function so
+# that every call with it reads one memoised column
+def _hsq_weight(k: int) -> Fraction:
+    return (-1) ** k * factorial(k) * harmonic(k) ** 2
+
+
 def _hsq_sum(n: int) -> Fraction:
-    return stirling2_transform(
-        n, lambda k: (-1) ** (n - k) * factorial(k) * harmonic(k) ** 2)
+    # (-1)^(n-k) = (-1)^n (-1)^k
+    return (-1) ** n * stirling2_transform(n, _hsq_weight)
 
 
 # --- per-identity lhs/rhs evaluators ---------------------------------------
@@ -176,21 +189,29 @@ def _gen_worpitzky_lhs(n: int, j: int) -> Fraction:
     return _calB_row(n, _reciprocal)[j]
 
 
+def _h1_weight(k: int) -> Fraction:
+    return (-1) ** (k - 1) * factorial(k - 1) * harmonic(k)
+
+
 def _h1_lhs(n: int) -> Fraction:
-    return stirling2_transform(
-        n, lambda k: (-1) ** (k - 1) * factorial(k - 1) * harmonic(k))
+    return stirling2_transform(n, _h1_weight)
+
+
+def _h2_weight(k: int) -> Fraction:
+    return (-1) ** k * factorial(k - 1) * harmonic(k - 1) * harmonic(k)
 
 
 def _h2_lhs(n: int) -> Fraction:
-    return stirling2_transform(
-        n, lambda k: (-1) ** k * factorial(k - 1) * harmonic(k - 1)
-        * harmonic(k), lo=2)
+    return stirling2_transform(n, _h2_weight, lo=2)
+
+
+def _k3_weight(k: int) -> Fraction:
+    return ((-1) ** (k - 1) * factorial(k - 1)
+            * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k))
 
 
 def _k3_lhs(n: int) -> Fraction:
-    return stirling2_transform(
-        n, lambda k: (-1) ** (k - 1) * factorial(k - 1)
-        * (harmonic(k - 1) ** 2 - harmonic_gen(k - 1, 2)) * harmonic(k), lo=3)
+    return stirling2_transform(n, _k3_weight, lo=3)
 
 
 _BERN_ROWS: dict[tuple[int, int], Egf] = memo({})
@@ -234,9 +255,12 @@ def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
         sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)), L * b**m)
 
 
+def _cauchy_h_weight(k: int) -> Fraction:
+    return cauchy1(k) * harmonic(k)
+
+
 def _hw_cauchy_rhs(n: int) -> Fraction:
-    return 1 - (n + 1) * stirling2_transform(
-        n, lambda k: cauchy1(k) * harmonic(k))
+    return 1 - (n + 1) * stirling2_transform(n, _cauchy_h_weight)
 
 
 def _convention_note(bounds: SweepBounds) -> str:

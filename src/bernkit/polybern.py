@@ -8,7 +8,9 @@ builds O(log N) series instead of N; the coefficient list only ever grows.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import Callable
 
 from . import fps
 from .seqcore import factorial, memo, stirling2_transform
@@ -43,6 +45,16 @@ def dibernoulli_at_one(n: int) -> Fraction:
     return poly_bernoulli(n, 2, 1)
 
 
+@functools.cache
+def _oracle_weight(p: int) -> Callable[[int], Fraction]:
+    """The weight (-1)^m m! / (m+1)^p, one function object per p, kept for
+    the life of the process so that every oracle call at the same p reads
+    one memoised transform column."""
+    def weight(m: int) -> Fraction:
+        return Fraction((-1) ** m * factorial(m), (m + 1) ** p)
+    return weight
+
+
 def stirling_sum_oracle(n: int, p: int) -> Fraction:
     """Cross-check route for the x = 0 numbers:
     sum_m (-1)^(m+n) m! {n,m} / (m+1)^p.
@@ -52,6 +64,4 @@ def stirling_sum_oracle(n: int, p: int) -> Fraction:
     """
     if n < 0 or p < 1:
         raise ValueError("oracle requires n >= 0 and p >= 1")
-    return stirling2_transform(
-        n, lambda m: Fraction((-1) ** (m + n) * factorial(m), (m + 1) ** p),
-        lo=0)
+    return (-1) ** n * stirling2_transform(n, _oracle_weight(p), lo=0)

@@ -5,8 +5,11 @@ All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
 write-once, so repeated queries are cheap and results never change. The
 tables are for single-threaded use: growing them is not locked. Each
-Stirling triangle grows alone, by its own kind's next-row step. Every memo
-table of the package is declared through `memo`; `clear_memos` resets all.
+Stirling triangle grows alone, by its own kind's next-row step. The
+Stirling transform keeps one integer column per weight, the one table here
+whose entries change: it is rescaled when its common denominator grows.
+Every memo table of the package is declared through `memo`; `clear_memos`
+resets all.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, TypeVar
 
 _T = TypeVar("_T", bound=list | dict)
@@ -40,6 +44,9 @@ _S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
 _FACT: list[int] = memo([1])
 _H: list[Fraction] = memo([Fraction(0)])
 _HM: dict[int, list[Fraction]] = memo({})  # m >= 2 -> [H_0^(m), H_1^(m), ...]
+# (weight, lo) -> [d, [d weight(k) for k = max(lo, 1), ...]], d the lcm of
+# the denominators of the weights read so far
+_TRANSFORM_COLUMNS: dict[tuple[Callable, int], list] = memo({})
 
 
 def next_stirling1_row(row: list[int]) -> list[int]:
@@ -69,14 +76,29 @@ def stirling2_transform(n: int, weight: Callable[[int], Fraction | int],
     """The Stirling transform sum_{k=lo..n} {n,k} weight(k) (Bernstein &
     Sloane, "Some canonical sequences of integers", 1995).
 
-    weight(k) is read only where {n,k} != 0. The terms are summed in
-    integers over d, the lcm of the weights' denominators, and the sum is
-    normalised once."""
-    terms = [(c, weight(k)) for k in range(lo, n + 1)
-             if (c := stirling2(n, k))]
-    d = math.lcm(*(w.denominator for _, w in terms))
-    return Fraction(sum(c * w.numerator * (d // w.denominator)
-                        for c, w in terms), d)
+    weight must be a pure function of k. Its values are kept per
+    (weight, lo) as one integer column d weight(k), k = max(lo, 1), 2, ...,
+    over d, the lcm of their denominators, and each distinct weight object
+    keeps its column until `clear_memos()`. weight(k) is read once, only
+    where {n,k} != 0 (so weight(0) only at n = 0, and then on every call),
+    as the column grows by appending; a new denominator that does not
+    divide d rescales the column once. A weight that raises leaves the
+    column as it was. The sum is one dot product of the column with row n
+    of S2, normalised once."""
+    if lo > n or n == 0:  # no term, or row 0, whose one nonzero is {0,0}
+        return Fraction(weight(0) if n == 0 and lo <= 0 else 0)
+    stirling2(n, 0)
+    first = max(lo, 1)
+    column = _TRANSFORM_COLUMNS.setdefault((weight, lo), [1, []])
+    d, ints = column
+    while first + len(ints) <= n:
+        w = weight(first + len(ints))
+        grow = w.denominator // math.gcd(d, w.denominator)
+        if grow > 1:
+            ints[:] = [grow * v for v in ints]
+            d = column[0] = d * grow
+        ints.append(w.numerator * (d // w.denominator))
+    return Fraction(sum(map(mul, _S2[n][first:], ints)), d)
 
 
 def stirling1(n: int, k: int) -> int:

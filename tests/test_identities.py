@@ -139,6 +139,22 @@ def test_verify_all_to_n_200_within_limit():
     assert elapsed < 60, f"verify_all(n_max=200) took {elapsed:.1f}s"
 
 
+@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
+                    reason="scale test, opt in with BERNKIT_SLOW=1")
+def test_transform_ids_to_n_200_within_limit(cold):
+    # the eight ids with a side that reads seqcore.stirling2_transform, from
+    # cold tables: 0.41-0.49 CPU s on 2 vCPUs (Python 3.11.7), so the limit
+    # is 10x that
+    ids = ("WORPITZKY", "H1", "H2", "K3SPECIAL", "HSQ_BRIDGE", "CUMSUM",
+           "EQ14", "HW_CAUCHY")
+    start = time.monotonic()
+    reports = verify_all(SweepBounds(n_max=200), ids)
+    elapsed = time.monotonic() - start
+    assert all(r.cases for r in reports)
+    assert [r.failures for r in reports if r.failures] == []
+    assert elapsed < 5, f"the transform ids to n_max=200 took {elapsed:.1f}s"
+
+
 def test_disjoint_routes_spot():
     # lhs is a fresh direct summation, rhs goes through the cached closed
     # forms; a deliberate probe confirms the two sides are not aliases
@@ -279,9 +295,16 @@ def test_perturbed_bernoulli_is_caught(cold):
      ((2, 0), 10), 10, "CUMSUM HSQ_BRIDGE"),
     (lambda: polybern.poly_bernoulli(10, 2, 1), polybern._CACHE,
      ((2, 1), 10), 10, "CUMSUM HSQ_BRIDGE"),
+    # one Stirling-transform column per weight, shared by every id that
+    # reads it: d (-1)^4 4!/5 plus 1 fails every case at n >= 4 of the ids
+    # that read worpitzky_bernoulli, and d 4! H_4^2 plus 1 those of _hsq_sum
+    (lambda: classical.worpitzky_bernoulli(11), seqcore._TRANSFORM_COLUMNS,
+     ((classical._worpitzky_weight, 1), 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
+    (lambda: identities._hsq_sum(11), seqcore._TRANSFORM_COLUMNS,
+     ((identities._hsq_weight, 1), 1, 3), 16, "EQ14 HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
         "BERN_RECIP", "CALB_WEIGHTS", "HW_FALLING", "polybern-x0",
-        "polybern-x1"])
+        "polybern-x1", "TRANSFORM_WORPITZKY", "TRANSFORM_HSQ"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
     for key in path[:-1]:

@@ -128,7 +128,8 @@ def test_each_triangle_grows_alone(cold):
 def test_every_memo_table_is_registered_and_cleared():
     # each table's contents at import, written out independently of memo
     cold = {"_S2": [[1]], "_S1": [[1]], "_FACT": [1], "_H": [Fraction(0)],
-            "_HM": {}, "_BERN": [Fraction(1)], "_TAN": [],
+            "_HM": {}, "_TRANSFORM_COLUMNS": {}, "_BERN": [Fraction(1)],
+            "_TAN": [],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
             "_EULER_SUM": [1], "_EULER_POLYS": [Egf([1])],
             "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_HW_FALLING": {},
@@ -151,6 +152,7 @@ def test_every_memo_table_is_registered_and_cleared():
     classical.euler_poly(8)
     classical.cauchy1(30)
     classical.hw(12, Fraction(-3, 5))
+    classical.worpitzky_bernoulli(12)
     stirling1(30, 0)
     stirling2(30, 0)
     harmonic_gen(30, 3)
@@ -235,6 +237,57 @@ class TestStirling2Transform:
         assert stirling2_transform(0, lambda k: Fraction(7, 3) + k,
                                    lo=0) == Fraction(7, 3)
         assert stirling2_transform(0, lambda k: 1) == 0
+
+    @given(data=st.data(), lo=st.sampled_from([0, 1, 2, 3]))
+    def test_one_weight_object_across_n_in_any_order(self, data, lo):
+        # one weight object for every call, so each call after the first
+        # reads, and may grow, the column that the earlier calls left
+        values = data.draw(st.lists(st.one_of(
+            st.integers(-50, 50), st.just(0),
+            st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))),
+            min_size=1, max_size=41))
+        ns = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1,
+                                max_size=8))
+        reads = []
+
+        def weight(k):
+            reads.append(k)
+            return values[k]
+
+        for n in ns:
+            want = Fraction(0)
+            for k in range(lo, n + 1):
+                want += stirling2(n, k) * values[k]
+            got = stirling2_transform(n, weight, lo)
+            assert type(got) is Fraction and got == want, (ns, n)
+        # weight(k) is read once per k > 0, up to the largest n, and
+        # weight(0) once per call at n = 0 when lo = 0
+        assert sorted(k for k in reads if k) == list(
+            range(max(lo, 1), max(ns) + 1))
+        assert reads.count(0) == (ns.count(0) if lo == 0 else 0)
+
+    def test_weight_raising_at_three_leaves_later_calls_correct(self):
+        # weight(3) raises the first time it is read, as an interrupted
+        # read would: the column keeps k = 1, 2 over d = 2, and later calls
+        # grow it past k = 3, rescaling it at k = 3, 4, 5, ...
+        raised = []
+
+        def weight(k):
+            if k == 3 and not raised:
+                raised.append(k)
+                raise ZeroDivisionError("probe")
+            return Fraction(1, k)
+
+        def fold(n):
+            return sum((stirling2(n, k) * Fraction(1, k)
+                        for k in range(1, n + 1)), Fraction(0))
+
+        assert stirling2_transform(2, weight) == fold(2)
+        with pytest.raises(ZeroDivisionError, match="probe"):
+            stirling2_transform(6, weight)
+        assert seqcore._TRANSFORM_COLUMNS[weight, 1] == [2, [2, 1]]
+        for n in (6, 2, 9, 3, 1):
+            assert stirling2_transform(n, weight) == fold(n), n
 
 
 def test_hockey_stick():
