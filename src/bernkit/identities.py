@@ -14,29 +14,30 @@ routes. `_calB_row` sums the whole row j = 0..n in integers over one
 denominator and memoises it as a list of Fractions; MAIN's left side,
 REDUCTION's left side and the right side of POLYX_COEFFS index it with the
 default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
-sums one entry directly, as one integer sum over the column j of [k,j],
-read from the filled S1 rows, against its own memo of the integer weights
-(-1)^k {n,k} weight(k) d, and reads no row memo: REDUCTION's right side
-uses it, so that identity's two sides do not share the convolution. Agoh's
-polynomial sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf`
-`_bern_row(n)`, and REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's
-right side and POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT,
-POLYX, AGOH_M1, AGOH_COMBINE and REC16 evaluate it at one or two points. The
-row stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one side only.
+sums one entry directly, as the Stirling transform of (-1)^k [k,j] weight(k),
+and reads no row memo: REDUCTION's right side uses it, so that identity's
+two sides do not share the convolution. Agoh's polynomial
+sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf` `_bern_row(n)`, and
+REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's right side and
+POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT, POLYX,
+AGOH_M1, AGOH_COMBINE and REC16 evaluate it at one or two points. The row
+stays a list so that MAIN and POLYX_COEFFS reach `Egf` on one side only.
 The Stirling transform `seqcore.stirling2_transform` serves one side of
 WORPITZKY, H1, H2, K3SPECIAL and HSQ_BRIDGE (left, through
-`worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14 and HW_CAUCHY
-(right, through `worpitzky_bernoulli`, `_hsq_sum` or directly). Each of
-its weights is a module-level function (`_h1_weight`, `_h2_weight`,
-`_k3_weight`, `_hsq_weight`, `_cauchy_h_weight` and
-`classical._worpitzky_weight`), so every case of an id reads the one
-integer column that the transform keeps per weight, and each weight is
-computed once per k. The right sides of AGOH, AGOH_ALT and AGOH_EQ11 sum
-their reciprocals as one integer over lcm(1..m).
+`worpitzky_bernoulli` or `_hsq_sum`), and of CUMSUM, EQ14, REDUCTION and
+HW_CAUCHY (right, through `worpitzky_bernoulli`, `_hsq_sum`, `_calB` or
+directly). Each of its weights is a module-level function (`_h1_weight`,
+`_h2_weight`, `_k3_weight`, `_hsq_weight`, `_cauchy_h_weight` and
+`classical._worpitzky_weight`) or one cached object per (weight, j)
+(`_calB_weight`), so every case of an id reads the one integer column that
+the transform keeps per weight, and each weight is computed once per k. The
+right sides of AGOH, AGOH_ALT and AGOH_EQ11 sum their reciprocals as one
+integer over lcm(1..m).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_number, hw, worpitzky_bernoulli)
 from .fps import Egf
 from .polybern import dibernoulli, dibernoulli_at_one
-from . import seqcore
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, memo,
                       stirling1, stirling2, stirling2_transform)
 
@@ -108,31 +108,26 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
             return q
 
 
-# (weight, n) -> (d, [(-1)^k {n,k} weight(k) d for k in 0..n]), d the lcm
-# of the denominators of weight(k) where {n,k} != 0
-_CALB_WEIGHTS: dict[tuple[Callable, int], tuple[int, list[int]]] = memo({})
+@functools.cache
+def _calB_weight(weight: Callable[[int], Fraction], j: int
+                 ) -> Callable[[int], Fraction]:
+    """The weight (-1)^k [k,j] weight(k), one function object per
+    (weight, j), kept for the life of the process so that every `_calB`
+    call at j reads one memoised transform column. weight(k) is read only
+    where [k,j] != 0."""
+    def column_weight(k: int) -> Fraction:
+        s = stirling1(k, j)
+        return (-1) ** k * s * weight(k) if s else 0
+    return column_weight
 
 
 def _calB(n: int, j: int,
           weight: Callable[[int], Fraction] = harmonic) -> Fraction:
     """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] weight(k), by
-    default with weight(k) = H_k: one integer sum over the column j of
-    [k,j], read from the S1 rows k = j..n after one fill, against the
-    integer weights of `_CALB_WEIGHTS`, memoised per (weight, n), where
-    weight(k) is read only if {n,k} != 0. Reads no row memo, so it stays a
-    route independent of `_calB_row`."""
-    key = (weight, n)
-    if key not in _CALB_WEIGHTS:
-        cs = [stirling2(n, k) for k in range(n + 1)]
-        ws = [weight(k) if c else 0 for k, c in enumerate(cs)]
-        d = math.lcm(*(w.denominator for w in ws))
-        _CALB_WEIGHTS[key] = d, [(-1) ** k * c * w.numerator
-                                 * (d // w.denominator)
-                                 for k, (c, w) in enumerate(zip(cs, ws))]
-    d, vs = _CALB_WEIGHTS[key]
-    stirling1(n, 0)
-    return Fraction((-1) ** j * sum(v * row[j] for v, row
-                                    in zip(vs[j:], seqcore._S1[j:n + 1])), d)
+    default with weight(k) = H_k, as the Stirling transform
+    (-1)^j sum_{k=j..n} {n,k} (-1)^k [k,j] weight(k). Reads no row memo,
+    so it stays a route independent of `_calB_row`."""
+    return (-1) ** j * stirling2_transform(n, _calB_weight(weight, j), lo=j)
 
 
 def _reciprocal(k: int) -> Fraction:

@@ -1,9 +1,21 @@
+import os
 import sys
 
 import pytest
 
 from bernkit import fps
 from bernkit.seqcore import clear_memos
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: scale test, opt in with BERNKIT_SLOW=1")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("slow") and os.environ.get(
+            "BERNKIT_SLOW") != "1":
+        pytest.skip("scale test, opt in with BERNKIT_SLOW=1")
 
 
 @pytest.fixture

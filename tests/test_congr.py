@@ -1,4 +1,3 @@
-import os
 import time
 from fractions import Fraction
 
@@ -191,8 +190,7 @@ def test_sweep_to_401():
     assert report.notes == ["skipped: C4 at p=3: requires p >= 5"]
 
 
-@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
-                    reason="scale test, opt in with BERNKIT_SLOW=1")
+@pytest.mark.slow
 def test_sweep_to_1009_within_limit():
     start = time.monotonic()
     report = prime_sweep(p_max=1009)

@@ -1,9 +1,6 @@
 import dataclasses
-import functools
-import os
 import sys
 import time
-import types
 from fractions import Fraction
 
 import pytest
@@ -128,8 +125,7 @@ class TestSweeps:
         assert all(r.passed for r in reports)
 
 
-@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
-                    reason="scale test, opt in with BERNKIT_SLOW=1")
+@pytest.mark.slow
 def test_verify_all_to_n_200_within_limit():
     start = time.monotonic()
     reports = verify_all(SweepBounds(n_max=200))
@@ -139,8 +135,7 @@ def test_verify_all_to_n_200_within_limit():
     assert elapsed < 60, f"verify_all(n_max=200) took {elapsed:.1f}s"
 
 
-@pytest.mark.skipif(os.environ.get("BERNKIT_SLOW") != "1",
-                    reason="scale test, opt in with BERNKIT_SLOW=1")
+@pytest.mark.slow
 def test_transform_ids_to_n_200_within_limit(cold):
     # the eight ids with a side that reads seqcore.stirling2_transform, from
     # cold tables: 0.41-0.49 CPU s on 2 vCPUs (Python 3.11.7), so the limit
@@ -162,81 +157,55 @@ def test_disjoint_routes_spot():
     assert lhs == rhs == Fraction(-691, 2730)
 
 
-# Functions each side may reach besides seqcore's table lookups: every
-# function of classical, fps (Egf's methods included) and polybern, the
-# shared seqcore sum `stirling2_transform`, and the identities helpers that
-# more than one entry calls or that compute a convolution or Bernoulli row.
-_ROUTE_HELPERS = ("_calB", "_calB_row", "_hsq_sum", "_bern_row",
-                  "_agoh_rhs")
+def _sides_reached(entry):
+    """The code objects of the bernkit functions that the left and the
+    right side of `entry` reach over all cases at small bounds: every
+    function of classical, fps (Egf's methods included), polybern and
+    identities, and of seqcore only the shared sum `stirling2_transform`,
+    not the table lookups. Each side starts from emptied memo tables, so
+    that the routes behind the tables are reached too whichever tests ran
+    first. Any previous profiler is put back afterwards."""
+    cases = list(entry.cases(SweepBounds(n_max=6, m_max=3, rand_count=2)))
+    kept = seqcore.stirling2_transform.__code__
+    sides = []
 
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if (event == "call" and module.startswith("bernkit.")
+                and (module != "bernkit.seqcore" or frame.f_code is kept)):
+            sides[-1].add(frame.f_code)
 
-@pytest.fixture(scope="module")
-def routes():
-    """For each id, the set of route names its left and its right side
-    reach over all cases at small bounds, with every memo table emptied
-    before and after, so that the routes behind the tables are reached too
-    whichever tests ran first."""
-    mp = pytest.MonkeyPatch()
-    reached = [set()]  # the names the side being evaluated has reached
-
-    def wrap(fn, name):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            reached[0].add(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    wrappers = {}
-    for mod in (classical, fps, polybern):
-        for name, obj in vars(mod).items():
-            if (isinstance(obj, types.FunctionType)
-                    and obj.__module__ == mod.__name__):
-                wrappers[obj] = wrap(obj, name)
-    for name in _ROUTE_HELPERS:
-        fn = getattr(identities, name)
-        wrappers[fn] = wrap(fn, name)
-    wrappers[seqcore.stirling2_transform] = wrap(seqcore.stirling2_transform,
-                                                 "stirling2_transform")
-    # rebind every alias, since modules call through `from .x import f` names
-    for modname, mod in list(sys.modules.items()):
-        if modname == "bernkit" or modname.startswith("bernkit."):
-            for name, obj in list(vars(mod).items()):
-                if isinstance(obj, types.FunctionType) and obj in wrappers:
-                    mp.setattr(mod, name, wrappers[obj])
-    for name, obj in list(vars(fps.Egf).items()):
-        fn = getattr(obj, "__func__", obj)  # unwrap a staticmethod
-        if isinstance(fn, types.FunctionType):
-            wrapped = wrap(fn, f"Egf.{name}")
-            mp.setattr(fps.Egf, name,
-                       wrapped if fn is obj else staticmethod(wrapped))
-    clear_memos()
-
-    bounds = SweepBounds(n_max=6, m_max=3, rand_count=2)
-    out = {}
+    previous = sys.getprofile()
+    sys.setprofile(profile)
     try:
-        for id, entry in CATALOG.items():
-            out[id] = []
-            for part in (entry.lhs, entry.rhs):
-                reached[0] = set()
-                for params in entry.cases(bounds):
-                    part(**params)
-                out[id].append(reached[0])
+        for part in (entry.lhs, entry.rhs):
+            clear_memos()
+            sides.append(set())
+            for params in cases:
+                part(**params)
     finally:
-        mp.undo()
-        clear_memos()
-    return out
+        sys.setprofile(previous)
+    return sides
 
 
 @pytest.mark.parametrize("id", IDENTITY_IDS)
-def test_sides_share_no_route(routes, id):
-    lhs, rhs = routes[id]
+def test_sides_share_no_route(cold, id):
+    lhs, rhs = _sides_reached(CATALOG[id])
+    assert lhs and rhs
     assert lhs & rhs == set()
 
 
+def test_shared_helper_is_reported(cold):
+    # both sides call an identities helper that no hand-kept list named
+    entry = dataclasses.replace(
+        CATALOG["AGOH_EQ11"], lhs=lambda m, z: identities._agoh_eq11_rhs(m, z))
+    lhs, rhs = _sides_reached(entry)
+    assert identities._agoh_eq11_rhs.__code__ in lhs & rhs
+
+
 def test_evaluators_are_not_bare_layer_functions():
-    # The route test above and the perfbench tracer see a call only through
-    # a rebound module name; a layer function stored bare in an entry would
-    # be called past both.
+    # The perfbench tracer sees a call only through a rebound module name;
+    # a layer function stored bare in an entry would be called past it.
     layers = {mod.__name__ for mod in (classical, fps, polybern, seqcore)}
     for id, entry in CATALOG.items():
         for part in (entry.lhs, entry.rhs):
@@ -281,10 +250,11 @@ def test_perturbed_bernoulli_is_caught(cold):
     # statement catches it at p = 11
     (lambda: classical.bernoulli_reciprocal_sum(11), classical._BERN_RECIP,
      (11,), 16, "HW_CAUCHY C3SQ"),
-    # REDUCTION's right side alone reads the direct convolution's weights;
-    # (-1)^4 {11,4} H_4 d plus 1 fails it at n = 11, j - 1 = 1..4
-    (lambda: identities._calB(11, 1), identities._CALB_WEIGHTS,
-     ((seqcore.harmonic, 11), 1, 4), 16, "REDUCTION"),
+    # REDUCTION's right side alone reads the direct convolution's columns:
+    # d (-1)^4 [4,1] H_4 plus 1 fails it at n >= 4, j - 1 = 1
+    (lambda: identities._calB(11, 1), seqcore._TRANSFORM_COLUMNS,
+     ((identities._calB_weight(seqcore.harmonic, 1), 1), 1, 3), 16,
+     "REDUCTION"),
     # hw alone reads its falling-product row; x = 16/9 draws POLYX cases at
     # n = 5, 16, 16, and F_6 is read only by the two at n = 16
     (lambda: classical.hw(10, Fraction(16, 9)), classical._HW_FALLING,
@@ -303,7 +273,7 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: identities._hsq_sum(11), seqcore._TRANSFORM_COLUMNS,
      ((identities._hsq_weight, 1), 1, 3), 16, "EQ14 HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
-        "BERN_RECIP", "CALB_WEIGHTS", "HW_FALLING", "polybern-x0",
+        "BERN_RECIP", "TRANSFORM_CALB", "HW_FALLING", "polybern-x0",
         "polybern-x1", "TRANSFORM_WORPITZKY", "TRANSFORM_HSQ"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
@@ -314,6 +284,24 @@ def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
                prime_sweep(p_max=31)]
     assert {f["id"] for r in reports for f in r.failures} == set(
         killed.split())
+
+
+def test_calB_columns_stay_bounded(cold):
+    # one weight object per (weight, j), so one transform column per j - 1
+    # = 0..N-1 that a second sweep reads again; a weight built per call
+    # would add a cold column on every call
+    code = identities._calB_weight(seqcore.harmonic, 0).__code__
+
+    def columns():
+        return {key for key in seqcore._TRANSFORM_COLUMNS
+                if getattr(key[0], "__code__", None) is code}
+
+    bounds = SweepBounds(n_max=12)
+    assert verify_identity("REDUCTION", bounds).passed
+    first = columns()
+    assert 0 < len(first) <= 12
+    assert verify_identity("REDUCTION", bounds).passed
+    assert columns() == first
 
 
 class TestRowKernels:
