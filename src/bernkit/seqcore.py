@@ -7,7 +7,8 @@ write-once, so repeated queries are cheap and results never change. The
 tables are for single-threaded use: growing them is not locked. Each
 Stirling triangle grows alone, by its own kind's next-row step. The
 Stirling transform keeps one integer column per weight, the one table here
-whose entries change: it is rescaled when its common denominator grows.
+whose entries change: it is rescaled when its common denominator grows,
+and it is keyed weakly, so a column dies with its weight.
 Every memo table of the package is declared through `memo`; `clear_memos`
 resets all.
 """
@@ -19,8 +20,9 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable, TypeVar
+from weakref import WeakKeyDictionary
 
-_T = TypeVar("_T", bound=list | dict)
+_T = TypeVar("_T", bound=list | dict | WeakKeyDictionary)
 _MEMOS: list[tuple] = []  # (table, a copy of its cold contents)
 
 
@@ -35,7 +37,7 @@ def clear_memos() -> None:
     all at once, so no table is reset apart from its working state."""
     for table, cold in _MEMOS:
         table.clear()
-        fill = table.update if isinstance(table, dict) else table.extend
+        fill = table.extend if isinstance(table, list) else table.update
         fill(copy.deepcopy(cold))
 
 
@@ -44,9 +46,10 @@ _S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
 _FACT: list[int] = memo([1])
 _H: list[Fraction] = memo([Fraction(0)])
 _HM: dict[int, list[Fraction]] = memo({})  # m >= 2 -> [H_0^(m), H_1^(m), ...]
-# (weight, lo) -> [d, [d weight(k) for k = max(lo, 1), ...]], d the lcm of
+# weight -> {lo: [d, [d weight(k) for k = max(lo, 1), ...]]}, d the lcm of
 # the denominators of the weights read so far
-_TRANSFORM_COLUMNS: dict[tuple[Callable, int], list] = memo({})
+_TRANSFORM_COLUMNS: WeakKeyDictionary[Callable, dict[int, list]] = memo(
+    WeakKeyDictionary())
 
 
 def next_stirling1_row(row: list[int]) -> list[int]:
@@ -78,18 +81,24 @@ def stirling2_transform(n: int, weight: Callable[[int], Fraction | int],
 
     weight must be a pure function of k. Its values are kept per
     (weight, lo) as one integer column d weight(k), k = max(lo, 1), 2, ...,
-    over d, the lcm of their denominators, and each distinct weight object
-    keeps its column until `clear_memos()`. weight(k) is read once, only
+    over d, the lcm of their denominators. weight(k) is read once, only
     where {n,k} != 0 (so weight(0) only at n = 0, and then on every call),
     as the column grows by appending; a new denominator that does not
     divide d rescales the column once. A weight that raises leaves the
-    column as it was. The sum is one dot product of the column with row n
-    of S2, normalised once."""
+    column as it was. The table holds each weight weakly: its columns go
+    when the weight does (or at `clear_memos()`), and a weight that cannot
+    be weakly referenced, such as a builtin method, keeps no column and is
+    read again on every call. The sum is one dot product of the column
+    with row n of S2, normalised once."""
     if lo > n or n == 0:  # no term, or row 0, whose one nonzero is {0,0}
         return Fraction(weight(0) if n == 0 and lo <= 0 else 0)
     stirling2(n, 0)
     first = max(lo, 1)
-    column = _TRANSFORM_COLUMNS.setdefault((weight, lo), [1, []])
+    try:
+        columns = _TRANSFORM_COLUMNS.setdefault(weight, {})
+    except TypeError:  # not weakly referenceable
+        columns = {}
+    column = columns.setdefault(lo, [1, []])
     d, ints = column
     while first + len(ints) <= n:
         w = weight(first + len(ints))

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -283,13 +284,27 @@ _JSON = st.recursive(
     max_leaves=12)
 
 
+def generators(value, rng):
+    """`value` with each list, by a coin toss, fed in as a generator."""
+    if isinstance(value, dict):
+        return {k: generators(v, rng) for k, v in value.items()}
+    if not isinstance(value, list):
+        return value
+    items = [generators(v, rng) for v in value]
+    return (v for v in items) if rng.random() < 0.5 else items
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.dictionaries(_TEXT, _JSON, max_size=4))
-@example({"a": {"b": [{"c": [], "d": {}}, [1, "x", None, True]], "e": []}})
-def test_json_writer_is_json_dumps_indent_2(payload):
+@given(st.dictionaries(_TEXT, _JSON, max_size=4), st.randoms())
+@example({"a": {"b": [{"c": [], "d": {}}, [1, "x", None, True]], "e": []}},
+         random.Random(0))
+# Random(1) feeds "rows", "empty" and "values" in as generators
+@example({"rows": [[1], [0, 1], [0, 1, 1]], "empty": [], "values": ["1/2"]},
+         random.Random(1))
+def test_json_writer_is_json_dumps_indent_2(payload, rng):
     args = argparse.Namespace(format="json", out=None, no_meta=True)
     with no_int_str_limit(), contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli._emit(payload, args) == 0
+        assert cli._emit(generators(payload, rng), args) == 0
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
@@ -307,13 +322,56 @@ def test_writing_holds_one_row_not_the_document(tmp_path, capsys):
     assert peak < path.stat().st_size / 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize("sequence", ["stirling1", "stirling2"])
+def test_cold_dump_leaves_no_triangle(cold, tmp_path, capsys, sequence, fmt):
+    # the rows are made, written and dropped one at a time: no memo
+    # triangle grows, and computing and writing together hold far less
+    # than the document (a filled triangle alone is most of its size)
+    path = tmp_path / f"{sequence}.{fmt}"
+    tracemalloc.start()
+    try:
+        code = cli.main(["compute", sequence, "--n-max", "200", "--no-meta",
+                         "--format", fmt, "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == ""
+    assert (len(seqcore._S1), len(seqcore._S2)) == (1, 1)
+    assert peak < path.stat().st_size / 4
+
+
+def bernkit_env() -> dict:
+    """The environment with this bernkit's source directory on PYTHONPATH,
+    for a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_stirling2_dump_to_n_1000_stays_small():
+    # 414 MB of JSON: a process that kept the triangle peaked at about
+    # 220 MB of RSS; one that holds one row stays near the interpreter's own
+    script = ("import os; from bernkit import cli; "
+              "code = cli.main(['compute', 'stirling2', '--n-max', '1000', "
+              "'--no-meta', '--out', os.devnull]); "
+              "print(code, *[line.split()[1] for line in "
+              "open('/proc/self/status') if line.startswith('VmHWM:')])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=bernkit_env(), text=True, timeout=600,
+                          check=True)
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert hwm_kb < 64 * 1024
+
+
 def test_python_m_bernkit_runs_the_cli(capsys):
     argv = ["compute", "bernoulli", "--n-max", "3", "--no-meta"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "bernkit", *argv],
-                          capture_output=True, env=env, timeout=60)
+                          capture_output=True, env=bernkit_env(), timeout=60)
     code, out = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()

@@ -253,7 +253,7 @@ def test_perturbed_bernoulli_is_caught(cold):
     # REDUCTION's right side alone reads the direct convolution's columns:
     # d (-1)^4 [4,1] H_4 plus 1 fails it at n >= 4, j - 1 = 1
     (lambda: identities._calB(11, 1), seqcore._TRANSFORM_COLUMNS,
-     ((identities._calB_weight(seqcore.harmonic, 1), 1), 1, 3), 16,
+     (identities._calB_weight(seqcore.harmonic, 1), 1, 1, 3), 16,
      "REDUCTION"),
     # hw alone reads its falling-product row; x = 16/9 draws POLYX cases at
     # n = 5, 16, 16, and F_6 is read only by the two at n = 16
@@ -269,9 +269,9 @@ def test_perturbed_bernoulli_is_caught(cold):
     # reads it: d (-1)^4 4!/5 plus 1 fails every case at n >= 4 of the ids
     # that read worpitzky_bernoulli, and d 4! H_4^2 plus 1 those of _hsq_sum
     (lambda: classical.worpitzky_bernoulli(11), seqcore._TRANSFORM_COLUMNS,
-     ((classical._worpitzky_weight, 1), 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
+     (classical._worpitzky_weight, 1, 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
     (lambda: identities._hsq_sum(11), seqcore._TRANSFORM_COLUMNS,
-     ((identities._hsq_weight, 1), 1, 3), 16, "EQ14 HSQ_BRIDGE"),
+     (identities._hsq_weight, 1, 1, 3), 16, "EQ14 HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
         "BERN_RECIP", "TRANSFORM_CALB", "HW_FALLING", "polybern-x0",
         "polybern-x1", "TRANSFORM_WORPITZKY", "TRANSFORM_HSQ"])
@@ -293,8 +293,10 @@ def test_calB_columns_stay_bounded(cold):
     code = identities._calB_weight(seqcore.harmonic, 0).__code__
 
     def columns():
-        return {key for key in seqcore._TRANSFORM_COLUMNS
-                if getattr(key[0], "__code__", None) is code}
+        return {(weight, lo)
+                for weight, by_lo in seqcore._TRANSFORM_COLUMNS.items()
+                if getattr(weight, "__code__", None) is code
+                for lo in by_lo}
 
     bounds = SweepBounds(n_max=12)
     assert verify_identity("REDUCTION", bounds).passed

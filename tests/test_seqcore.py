@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import re
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -139,7 +141,7 @@ def test_every_memo_table_is_registered_and_cleared():
               for mod in (seqcore, classical, identities, polybern)
               for name, value in vars(mod).items()
               if re.fullmatch(r"_[A-Z0-9_]+", name)
-              and isinstance(value, (list, dict))
+              and isinstance(value, (list, dict, WeakKeyDictionary))
               and value is not seqcore._MEMOS]
     assert sorted(name for name, _ in tables) == sorted(cold)
     registered = [table for table, _ in seqcore._MEMOS]
@@ -285,9 +287,26 @@ class TestStirling2Transform:
         assert stirling2_transform(2, weight) == fold(2)
         with pytest.raises(ZeroDivisionError, match="probe"):
             stirling2_transform(6, weight)
-        assert seqcore._TRANSFORM_COLUMNS[weight, 1] == [2, [2, 1]]
+        assert seqcore._TRANSFORM_COLUMNS[weight][1] == [2, [2, 1]]
         for n in (6, 2, 9, 3, 1):
             assert stirling2_transform(n, weight) == fold(n), n
+
+
+    def test_a_column_dies_with_its_weight(self, cold):
+        # one-shot lambdas leave no column once dropped, and a builtin
+        # method, which cannot be weakly referenced, keeps none at all
+        def scaled(c):
+            return lambda k: Fraction(c, k)
+
+        kept = scaled(1)
+        for c in range(2, 40):
+            assert stirling2_transform(9, scaled(c)) == (
+                c * stirling2_transform(9, kept))
+        values = [Fraction(1, k or 1) for k in range(10)]
+        assert stirling2_transform(9, values.__getitem__) == (
+            stirling2_transform(9, kept))
+        gc.collect()
+        assert list(seqcore._TRANSFORM_COLUMNS) == [kept]
 
 
 def test_hockey_stick():
