@@ -10,13 +10,15 @@ cannot cancel. `tests/test_identities.py` checks this by recording which
 functions each side reaches.
 
 The paper's convolution sum_k (-1)^(k-j) {n,k} [k,j] weight(k) has two
-routes. `_calB_row` sums the whole row j = 0..n in integers over one
-denominator and memoises it as a list of Fractions; MAIN's left side,
-REDUCTION's left side and the right side of POLYX_COEFFS index it with the
-default weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB`
-sums one entry directly, as the Stirling transform of (-1)^k [k,j] weight(k),
-and reads no row memo: REDUCTION's right side uses it, so that identity's
-two sides do not share the convolution. Agoh's polynomial
+routes. `_calB_row` reads it as the coefficients of the polynomial
+sum_k {n,k} weight(k) x(x-1)...(x-k+1), summed by one Horner pass in
+integers over one denominator, reads no first-kind number, and memoises
+the row j = 0..n as a list of Fractions; MAIN's left side, REDUCTION's
+left side and the right side of POLYX_COEFFS index it with the default
+weight H_k, and GEN_WORPITZKY's left side with weight 1/k. `_calB` sums one
+entry directly, as the Stirling transform of (-1)^k [k,j] weight(k), and
+reads no row memo: REDUCTION's right side uses it, so that identity's two
+sides do not share the convolution. Agoh's polynomial
 sum_j (C(n,j) - 1) B_j / j x^(n-j) is the `fps.Egf` `_bern_row(n)`, and
 REC16's, with C(n,j) + 1, is `_bern_row(n, 1)`. MAIN's right side and
 POLYX_COEFFS's left side read one coefficient; AGOH, AGOH_ALT, POLYX,
@@ -125,9 +127,9 @@ def _calB(n: int, j: int,
           weight: Callable[[int], Fraction] = harmonic) -> Fraction:
     """Direct summation of sum_k (-1)^(k-j) {n,k} [k,j] weight(k), by
     default with weight(k) = H_k, as the Stirling transform
-    (-1)^j sum_{k=j..n} {n,k} (-1)^k [k,j] weight(k). Reads no row memo,
-    so it stays a route independent of `_calB_row`."""
-    return (-1) ** j * stirling2_transform(n, _calB_weight(weight, j), lo=j)
+    (-1)^j sum_k {n,k} (-1)^k [k,j] weight(k). Reads no row memo and
+    every [k,j] it needs, so it stays a route independent of `_calB_row`."""
+    return (-1) ** j * stirling2_transform(n, _calB_weight(weight, j))
 
 
 def _reciprocal(k: int) -> Fraction:
@@ -142,21 +144,23 @@ _CALB_ROWS: dict[tuple[Callable, int], list[Fraction]] = memo({})
 def _calB_row(n: int, weight: Callable[[int], Fraction] = harmonic
               ) -> list[Fraction]:
     """The row j = 0..n of the convolution `_calB(n, j, weight)`, memoised
-    per (weight, n). It is summed in integers over d, the lcm of the
+    per (weight, n): the x^j coefficients of sum_k {n,k} weight(k)
+    x(x-1)...(x-k+1), since sum_j (-1)^(k-j) [k,j] x^j is that falling
+    factorial (Graham, Knuth & Patashnik, Concrete Mathematics, 2nd ed.,
+    section 6.1). One Horner pass P <- d {n,k} weight(k) + (x - k) P, for
+    k = n down to 0, sums it in integers over d, the lcm of the
     denominators of weight(k) (a divisor of lcm(1..n) for H_k and 1/k), and
     each weight(k) is read once per row, where {n,k} != 0."""
     key = (weight, n)
     if key not in _CALB_ROWS:
-        ks = [k for k in range(n + 1) if stirling2(n, k)]
-        ws = [weight(k) for k in ks]
-        d = math.lcm(*(w.denominator for w in ws))
-        row = [0] * (n + 1)
-        for k, w in zip(ks, ws):
-            v = (-1) ** k * stirling2(n, k) * w.numerator * (d // w.denominator)
-            for j in range(k + 1):
-                row[j] += v * stirling1(k, j)
-        _CALB_ROWS[key] = [Fraction((-1) ** j * r, d)
-                           for j, r in enumerate(row)]
+        ws = {k: weight(k) for k in range(n + 1) if stirling2(n, k)}
+        d = math.lcm(*(w.denominator for w in ws.values()))
+        poly: list[int] = []
+        for k in range(n, -1, -1):
+            w = ws.get(k, 0)  # {n,k} = 0 where weight(k) is not read
+            poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+            poly[0] += stirling2(n, k) * w.numerator * (d // w.denominator)
+        _CALB_ROWS[key] = [Fraction(c, d) for c in poly]
     return _CALB_ROWS[key]
 
 
@@ -197,7 +201,7 @@ def _h2_weight(k: int) -> Fraction:
 
 
 def _h2_lhs(n: int) -> Fraction:
-    return stirling2_transform(n, _h2_weight, lo=2)
+    return stirling2_transform(n, _h2_weight)
 
 
 def _k3_weight(k: int) -> Fraction:
@@ -206,7 +210,7 @@ def _k3_weight(k: int) -> Fraction:
 
 
 def _k3_lhs(n: int) -> Fraction:
-    return stirling2_transform(n, _k3_weight, lo=3)
+    return stirling2_transform(n, _k3_weight)
 
 
 _BERN_ROWS: dict[tuple[int, int], Egf] = memo({})

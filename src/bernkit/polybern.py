@@ -64,4 +64,4 @@ def stirling_sum_oracle(n: int, p: int) -> Fraction:
     """
     if n < 0 or p < 1:
         raise ValueError("oracle requires n >= 0 and p >= 1")
-    return (-1) ** n * stirling2_transform(n, _oracle_weight(p), lo=0)
+    return (-1) ** n * stirling2_transform(n, _oracle_weight(p))

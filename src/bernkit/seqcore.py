@@ -46,9 +46,9 @@ _S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
 _FACT: list[int] = memo([1])
 _H: list[Fraction] = memo([Fraction(0)])
 _HM: dict[int, list[Fraction]] = memo({})  # m >= 2 -> [H_0^(m), H_1^(m), ...]
-# weight -> {lo: [d, [d weight(k) for k = max(lo, 1), ...]]}, d the lcm of
-# the denominators of the weights read so far
-_TRANSFORM_COLUMNS: WeakKeyDictionary[Callable, dict[int, list]] = memo(
+# weight -> [d, [d weight(k) for k = 1, 2, ...]], d the lcm of the
+# denominators of the weights read so far
+_TRANSFORM_COLUMNS: WeakKeyDictionary[Callable, list] = memo(
     WeakKeyDictionary())
 
 
@@ -74,40 +74,33 @@ def stirling2(n: int, k: int) -> int:
     return _S2[n][k]
 
 
-def stirling2_transform(n: int, weight: Callable[[int], Fraction | int],
-                        lo: int = 1) -> Fraction:
-    """The Stirling transform sum_{k=lo..n} {n,k} weight(k) (Bernstein &
+def stirling2_transform(n: int, weight: Callable[[int], Fraction | int]
+                        ) -> Fraction:
+    """The Stirling transform sum_{k=0..n} {n,k} weight(k) (Bernstein &
     Sloane, "Some canonical sequences of integers", 1995).
 
-    weight must be a pure function of k. Its values are kept per
-    (weight, lo) as one integer column d weight(k), k = max(lo, 1), 2, ...,
-    over d, the lcm of their denominators. weight(k) is read once, only
-    where {n,k} != 0 (so weight(0) only at n = 0, and then on every call),
-    as the column grows by appending; a new denominator that does not
-    divide d rescales the column once. A weight that raises leaves the
-    column as it was. The table holds each weight weakly: its columns go
-    when the weight does (or at `clear_memos()`), and a weight that cannot
-    be weakly referenced, such as a builtin method, keeps no column and is
-    read again on every call. The sum is one dot product of the column
-    with row n of S2, normalised once."""
-    if lo > n or n == 0:  # no term, or row 0, whose one nonzero is {0,0}
-        return Fraction(weight(0) if n == 0 and lo <= 0 else 0)
+    weight must be a pure function of k and weakly referenceable. Its
+    values are kept per weight as one integer column d weight(k), k = 1,
+    2, ..., over d, the lcm of their denominators. weight(k) is read once,
+    only where {n,k} != 0 (so weight(0) only at n = 0, and then on every
+    call), as the column grows by appending; a new denominator that does
+    not divide d rescales the column once. A weight that raises leaves the
+    column as it was. The table holds each weight weakly: its column goes
+    when the weight does (or at `clear_memos()`). The sum is one dot
+    product of the column with row n of S2, normalised once."""
+    if n == 0:  # row 0, whose one nonzero is {0,0}
+        return Fraction(weight(0))
     stirling2(n, 0)
-    first = max(lo, 1)
-    try:
-        columns = _TRANSFORM_COLUMNS.setdefault(weight, {})
-    except TypeError:  # not weakly referenceable
-        columns = {}
-    column = columns.setdefault(lo, [1, []])
+    column = _TRANSFORM_COLUMNS.setdefault(weight, [1, []])
     d, ints = column
-    while first + len(ints) <= n:
-        w = weight(first + len(ints))
+    while len(ints) < n:
+        w = weight(len(ints) + 1)
         grow = w.denominator // math.gcd(d, w.denominator)
         if grow > 1:
             ints[:] = [grow * v for v in ints]
             d = column[0] = d * grow
         ints.append(w.numerator * (d // w.denominator))
-    return Fraction(sum(map(mul, _S2[n][first:], ints)), d)
+    return Fraction(sum(map(mul, _S2[n][1:], ints)), d)
 
 
 def stirling1(n: int, k: int) -> int:

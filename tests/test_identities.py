@@ -229,8 +229,10 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: seqcore.stirling2(11, 0), seqcore._S2, (11, 4), 16,
      "MAIN WORPITZKY GEN_WORPITZKY H1 H2 K3SPECIAL POLYX POLYX_COEFFS CUMSUM "
      "EQ14 HSQ_BRIDGE REDUCTION HW_CAUCHY STIRP"),
+    # the row kernel reads no [k,j], so only _calB's weights and STIRL20
+    # read S1
     (lambda: seqcore.stirling1(11, 0), seqcore._S1, (11, 2), 16,
-     "MAIN GEN_WORPITZKY POLYX_COEFFS REDUCTION STIRL20"),
+     "REDUCTION STIRL20"),
     (lambda: seqcore.harmonic(10), seqcore._H, (10,), 16,
      "MAIN H1 H2 K3SPECIAL POLYX POLYX_COEFFS AGOH AGOH_ALT AGOH_M1 EQ14 "
      "HSQ_BRIDGE REDUCTION STIRL20 HW_CAUCHY BABBAGE"),
@@ -253,7 +255,7 @@ def test_perturbed_bernoulli_is_caught(cold):
     # REDUCTION's right side alone reads the direct convolution's columns:
     # d (-1)^4 [4,1] H_4 plus 1 fails it at n >= 4, j - 1 = 1
     (lambda: identities._calB(11, 1), seqcore._TRANSFORM_COLUMNS,
-     (identities._calB_weight(seqcore.harmonic, 1), 1, 1, 3), 16,
+     (identities._calB_weight(seqcore.harmonic, 1), 1, 3), 16,
      "REDUCTION"),
     # hw alone reads its falling-product row; x = 16/9 draws POLYX cases at
     # n = 5, 16, 16, and F_6 is read only by the two at n = 16
@@ -269,9 +271,9 @@ def test_perturbed_bernoulli_is_caught(cold):
     # reads it: d (-1)^4 4!/5 plus 1 fails every case at n >= 4 of the ids
     # that read worpitzky_bernoulli, and d 4! H_4^2 plus 1 those of _hsq_sum
     (lambda: classical.worpitzky_bernoulli(11), seqcore._TRANSFORM_COLUMNS,
-     (classical._worpitzky_weight, 1, 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
+     (classical._worpitzky_weight, 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
     (lambda: identities._hsq_sum(11), seqcore._TRANSFORM_COLUMNS,
-     (identities._hsq_weight, 1, 1, 3), 16, "EQ14 HSQ_BRIDGE"),
+     (identities._hsq_weight, 1, 3), 16, "EQ14 HSQ_BRIDGE"),
 ], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
         "BERN_RECIP", "TRANSFORM_CALB", "HW_FALLING", "polybern-x0",
         "polybern-x1", "TRANSFORM_WORPITZKY", "TRANSFORM_HSQ"])
@@ -293,10 +295,8 @@ def test_calB_columns_stay_bounded(cold):
     code = identities._calB_weight(seqcore.harmonic, 0).__code__
 
     def columns():
-        return {(weight, lo)
-                for weight, by_lo in seqcore._TRANSFORM_COLUMNS.items()
-                if getattr(weight, "__code__", None) is code
-                for lo in by_lo}
+        return {weight for weight in seqcore._TRANSFORM_COLUMNS
+                if getattr(weight, "__code__", None) is code}
 
     bounds = SweepBounds(n_max=12)
     assert verify_identity("REDUCTION", bounds).passed
@@ -304,6 +304,17 @@ def test_calB_columns_stay_bounded(cold):
     assert 0 < len(first) <= 12
     assert verify_identity("REDUCTION", bounds).passed
     assert columns() == first
+
+
+def test_transform_weights_vanish_below_their_old_bounds():
+    # the transform sums from k = 0, and H2's, K3SPECIAL's and _calB's
+    # callers once started at 2, 3 and j: the terms skipped were zero
+    assert identities._h2_weight(1) == 0
+    assert identities._k3_weight(1) == identities._k3_weight(2) == 0
+    for weight in (seqcore.harmonic, identities._reciprocal):
+        for j in range(13):
+            column_weight = identities._calB_weight(weight, j)
+            assert [column_weight(k) for k in range(j)] == [0] * j, j
 
 
 class TestRowKernels:
@@ -322,6 +333,13 @@ class TestRowKernels:
             assert len(row) == n + 1
             for j in range(n + 1):
                 assert row[j] == identities._calB(n, j, weight)
+
+    def test_calB_row_reads_no_first_kind_number(self, cold):
+        # the row is a falling-factorial polynomial summed by Horner, so
+        # S1 stays cold; only _calB's weights read it
+        identities._calB_row(40)
+        identities._calB_row(40, identities._reciprocal)
+        assert len(seqcore._S1) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), m=st.integers(1, 20), a=st.integers(-24, 24),
