@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import sys
@@ -126,6 +125,7 @@ def _write_json(out, value, depth: int = 0) -> None:
 
 
 def _write_csv(out, payload: dict) -> None:
+    import csv  # only --format csv needs it; start-up does not load it
     w = csv.writer(out)
     if "values" in payload:
         w.writerow(["index", "value"])

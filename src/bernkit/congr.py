@@ -5,7 +5,8 @@ Every sum is evaluated exactly first (running prefix sums and integer sums
 over one denominator, kept in `classical`) and only then reduced; individual
 terms may carry the prime in a denominator that cancels in aggregate.
 
-Residues (`Residue`) and statement results (`CongruenceResult`) are
+Residues (`Residue`), statement results (`CongruenceResult`), catalog
+entries (`CongruenceEntry`) and the sweep's `identities.Report` are
 immutable tuple values; a residue is range-checked whenever it is
 constructed.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -73,8 +73,7 @@ class CongruenceResult(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class CongruenceEntry:
+class CongruenceEntry(NamedTuple):
     """One catalog entry: its statements at an odd prime p, each an
     (lhs, rhs, modulus, label) tuple, and the least p they hold for."""
     statements: Callable[[int], list[tuple]]
@@ -151,24 +150,24 @@ def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> Report:
     ids = tuple(ids)
     if unknown := [id for id in ids if id not in CATALOG]:
         raise KeyError(f"unknown congruence id {unknown[0]!r}")
-    report = Report("congruence")
+    cases, failures, notes = 0, [], []
     primes = odd_primes_upto(p_max)
     for id in ids:
         min_p = CATALOG[id].min_p
         for p in primes:
             if p < min_p:
-                report.notes.append(f"skipped: {id} at p={p}: requires p >= {min_p}")
+                notes.append(f"skipped: {id} at p={p}: requires p >= {min_p}")
                 continue
             try:
                 results = check_congruence(id, p)
             except Exception as exc:  # one broken case must not end the sweep
-                report.cases += 1
-                report.notes.append(f"{id} at p={p}: {type(exc).__name__}: {exc}")
-                report.failures.append({"id": id, "params": {"p": p, "case": ""},
-                                        "lhs": None, "rhs": None})
+                cases += 1
+                notes.append(f"{id} at p={p}: {type(exc).__name__}: {exc}")
+                failures.append({"id": id, "params": {"p": p, "case": ""},
+                                 "lhs": None, "rhs": None})
                 continue
-            report.cases += len(results)
-            report.failures += [{"id": id, "params": {"p": p, "case": res.label},
-                                 "lhs": res.lhs, "rhs": res.rhs}
-                                for res in results if not res.passed]
-    return report
+            cases += len(results)
+            failures += [{"id": id, "params": {"p": p, "case": res.label},
+                          "lhs": res.lhs, "rhs": res.rhs}
+                         for res in results if not res.passed]
+    return Report("congruence", cases, failures, notes)

@@ -35,6 +35,11 @@ directly). Each of its weights is a module-level function (`_h1_weight`,
 the transform keeps per weight, and each weight is computed once per k. The
 right sides of AGOH, AGOH_ALT and AGOH_EQ11 sum their reciprocals as one
 integer over lcm(1..m).
+
+The records `IdentityCase`, `SweepBounds`, `IdentityEntry` and `Report` are
+immutable tuple values (`typing.NamedTuple`), like `congr`'s; change one
+with `_replace`. A sweep counts and collects into lists of its own and
+builds its `Report` once, when it ends.
 """
 
 from __future__ import annotations
@@ -42,9 +47,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_number, hw, worpitzky_bernoulli)
@@ -60,29 +64,26 @@ class IndeterminateRHS(ArithmeticError):
     """Raised when a right side is of the form 0 * B_0/0 (MAIN at j = n)."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     params: Params
 
 
-@dataclass
-class Report:
-    """Outcome of a sweep. Each failure is a dict {"id", "params", "lhs",
-    "rhs"} holding raw values: a Fraction, a Residue, or None where a side
-    could not be evaluated."""
+class Report(NamedTuple):
+    """Outcome of a sweep, built once when the sweep ends. Each failure is
+    a dict {"id", "params", "lhs", "rhs"} holding raw values: a Fraction, a
+    Residue, or None where a side could not be evaluated."""
     id: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    cases: int
+    failures: list[dict]
+    notes: list[str]
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class SweepBounds:
+class SweepBounds(NamedTuple):
     """Parameter ranges for a verification sweep."""
     n_max: int = 40
     m_max: int = 20
@@ -345,8 +346,7 @@ def _cases_stirl20(b: SweepBounds) -> Iterable[Params]:
 
 # --- catalog ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(NamedTuple):
     """One identity: its domain, its case generator, and its two sides,
     each called with a case's parameters as keywords."""
     domain: str
@@ -476,23 +476,21 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
         raise KeyError(f"unknown identity {id!r}")
     bounds = bounds or SweepBounds()
     entry = CATALOG[id]
-    report = Report(id)
-    if entry.note:
-        report.notes.append(entry.note(bounds))
+    cases, failures = 0, []
+    notes = [entry.note(bounds)] if entry.note else []
     for params in sorted(entry.cases(bounds), key=_param_key):
-        report.cases += 1
+        cases += 1
         lhs = rhs = None
         try:
             lhs = entry.lhs(**params)
             rhs = entry.rhs(**params)
         except IndeterminateRHS as exc:
-            report.notes.append(f"{params}: {exc}")
+            notes.append(f"{params}: {exc}")
         except Exception as exc:  # one broken case must not end the sweep
-            report.notes.append(f"{params}: {type(exc).__name__}: {exc}")
+            notes.append(f"{params}: {type(exc).__name__}: {exc}")
         if rhs is None or lhs != rhs:
-            report.failures.append(
-                {"id": id, "params": params, "lhs": lhs, "rhs": rhs})
-    return report
+            failures.append({"id": id, "params": params, "lhs": lhs, "rhs": rhs})
+    return Report(id, cases, failures, notes)
 
 
 def verify_all(bounds: SweepBounds | None = None,

@@ -4,7 +4,6 @@ Each criterion prints its own PASS/FAIL line (bypassing pytest capture) so a
 plain `pytest tests/test_acceptance.py` run shows the per-criterion verdicts.
 """
 
-import dataclasses
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -146,7 +145,7 @@ def test_criterion_8_cli_contract(monkeypatch, capsys):
         entry = CATALOG["AGOH_M1"]
         monkeypatch.setitem(
             CATALOG, "AGOH_M1",
-            dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
+            entry._replace(rhs=lambda **p: entry.rhs(**p) + 1))
         import json
         assert cli.main(["verify", "AGOH_M1", "--n-max", "10",
                          "--no-meta"]) == 1

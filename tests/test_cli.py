@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -157,7 +156,7 @@ class TestVerify:
         entry = CATALOG["H2"]
         monkeypatch.setitem(
             CATALOG, "H2",
-            dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
+            entry._replace(rhs=lambda **p: entry.rhs(**p) + 1))
         code, payload = run_json(capsys, "verify", "H2", "--n-max", "10",
                                  "--no-meta")
         assert code == 1
@@ -171,7 +170,7 @@ def test_sweep_payload_is_the_no_meta_json(capsys, monkeypatch):
     entry = CATALOG["H2"]
     monkeypatch.setitem(
         CATALOG, "H2",
-        dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
+        entry._replace(rhs=lambda **p: entry.rhs(**p) + 1))
     monkeypatch.setattr(congr, "harmonic", lambda n: harmonic(n) + 1)
     reports = identities.verify_all(identities.SweepBounds(n_max=10), ["H2"])
     congruence = congr.prime_sweep(["BABBAGE"], 13)
@@ -375,6 +374,19 @@ def test_python_m_bernkit_runs_the_cli(capsys):
     code, out = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+def test_start_up_loads_no_unneeded_module():
+    # every CLI process pays for what start-up imports: dataclasses pulls in
+    # inspect (and ast, dis, tokenize), and only --format csv needs csv.
+    # -S skips site-packages .pth files, which may import modules themselves.
+    script = ("import sys, bernkit.cli; bernkit.cli.build_parser(); "
+              "print(*sorted({'dataclasses', 'inspect', 'csv'} "
+              "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, env=bernkit_env(), text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_usage_error_exit_code():

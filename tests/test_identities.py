@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -100,7 +99,7 @@ class TestSweeps:
         entry = CATALOG["H1"]
         monkeypatch.setitem(
             CATALOG, "H1",
-            dataclasses.replace(entry, rhs=lambda **p: entry.rhs(**p) + 1))
+            entry._replace(rhs=lambda **p: entry.rhs(**p) + 1))
         report = verify_identity("H1", SweepBounds(n_max=10))
         assert len(report.failures) == report.cases == 9
 
@@ -112,7 +111,7 @@ class TestSweeps:
                 raise ZeroDivisionError("probe")
             return entry.rhs(n=n)
 
-        monkeypatch.setitem(CATALOG, "H1", dataclasses.replace(entry, rhs=rhs))
+        monkeypatch.setitem(CATALOG, "H1", entry._replace(rhs=rhs))
         report = verify_identity("H1", SweepBounds(n_max=10))
         assert report.cases == 9
         assert report.failures == [{"id": "H1", "params": {"n": 5},
@@ -123,6 +122,17 @@ class TestSweeps:
         reports = verify_all(SweepBounds(n_max=8, m_max=4, rand_count=2))
         assert [r.id for r in reports] == list(IDENTITY_IDS)
         assert all(r.passed for r in reports)
+
+    def test_records_are_values(self):
+        with pytest.raises(AttributeError):
+            SweepBounds().n_max = 5
+        narrowed = SweepBounds(n_max=5)._replace(m_max=3)
+        assert (narrowed.n_max, narrowed.m_max) == (5, 3)
+        # each sweep collects into lists of its own, never a shared default
+        a = verify_identity("H1", SweepBounds(n_max=4))
+        b = verify_identity("H1", SweepBounds(n_max=4))
+        assert a.failures == b.failures == []
+        assert a.failures is not b.failures and a.notes is not b.notes
 
 
 @pytest.mark.slow
@@ -197,8 +207,8 @@ def test_sides_share_no_route(cold, id):
 
 def test_shared_helper_is_reported(cold):
     # both sides call an identities helper that no hand-kept list named
-    entry = dataclasses.replace(
-        CATALOG["AGOH_EQ11"], lhs=lambda m, z: identities._agoh_eq11_rhs(m, z))
+    entry = CATALOG["AGOH_EQ11"]._replace(
+        lhs=lambda m, z: identities._agoh_eq11_rhs(m, z))
     lhs, rhs = _sides_reached(entry)
     assert identities._agoh_eq11_rhs.__code__ in lhs & rhs
 
