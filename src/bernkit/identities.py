@@ -32,20 +32,30 @@ directly). Each of its weights is a module-level function (`_h1_weight`,
 `_h2_weight`, `_k3_weight`, `_hsq_weight`, `_cauchy_h_weight` and
 `classical._worpitzky_weight`) or one cached object per (weight, j)
 (`_calB_weight`), so every case of an id reads the one integer column that
-the transform keeps per weight, and each weight is computed once per k. The
-right sides of AGOH, AGOH_ALT and AGOH_EQ11 sum their reciprocals as one
-integer over lcm(1..m).
+the transform keeps per weight, and each weight is computed once per k.
+
+The sides that would otherwise chain one Fraction operation per term sum in
+integers over one denominator and build one Fraction, normalised once: the
+right sides of AGOH and AGOH_ALT (`_agoh_rhs`, over lcm(1..m) and the
+denominators of H_m and H_n) and of AGOH_EQ11 (over lcm(1..m) b^m, with
+z = a/b), the term C(N,j) B_(N+1-j) / (N+1-j) of
+GEN_WORPITZKY's and REDUCTION's right sides (`_bern_term`), REC16_EULER's
+left side (over 2^n), BPINT's (over the lcm of its term denominators) and
+AGOH_EQ11's (one Horner pass in b, with z - 1 = a/b, carrying lcm(1..m) H_k
+as a running sum). Each is still a term-by-term direct sum. A sweep orders
+its cases by parameter value, in parameter-name order.
 
 The records `IdentityCase`, `SweepBounds`, `IdentityEntry` and `Report` are
 immutable tuple values (`typing.NamedTuple`), like `congr`'s; change one
-with `_replace`. A sweep counts and collects into lists of its own and
-builds its `Report` once, when it ends.
+with `_replace`. A sweep collects into lists of its own and builds its
+`Report` once, when it ends.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
@@ -189,6 +199,13 @@ def _gen_worpitzky_lhs(n: int, j: int) -> Fraction:
     return _calB_row(n, _reciprocal)[j]
 
 
+def _bern_term(N: int, j: int) -> Fraction:
+    # C(N,j) B_(N+1-j) / (N+1-j), built as one Fraction
+    k = N + 1 - j
+    b = bernoulli(k)
+    return Fraction(binom_int(N, j) * b.numerator, k * b.denominator)
+
+
 def _h1_weight(k: int) -> Fraction:
     return (-1) ** (k - 1) * factorial(k - 1) * harmonic(k)
 
@@ -235,14 +252,30 @@ def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
 
 
 def _agoh_rhs(n: int, m: int) -> Fraction:
-    # sum_{j=1..m} (m-j)^n / j as one integer over L = lcm(1..m)
-    L = math.lcm(*range(1, m + 1))
-    return m**n * (harmonic(m) - harmonic(n)) - Fraction(
-        sum((m - j) ** n * (L // j) for j in range(1, m + 1)), L)
+    # m^n (H_m - H_n) - sum_{j=1..m} (m-j)^n / j as one integer over d, the
+    # lcm of 1..m and the denominators of H_m and H_n
+    hm, hn = harmonic(m), harmonic(n)
+    d = math.lcm(*range(1, m + 1), hm.denominator, hn.denominator)
+    return Fraction(
+        m**n * (hm.numerator * (d // hm.denominator)
+                - hn.numerator * (d // hn.denominator))
+        - sum((m - j) ** n * (d // j) for j in range(1, m + 1)), d)
 
 
 def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
-    return Egf([binom_int(m, k) * harmonic(k) for k in range(m + 1)])(z - 1)
+    # with z - 1 = a/b, sum_{k<=m} C(m,k) H_k (z-1)^k is one integer over
+    # d b^m, d = lcm(1..m): one Horner pass in b,
+    # acc <- acc b + C(m,k) (d H_k) a^k, with d H_k carried as the running
+    # sum of d // k (H_0 = 0)
+    a, b = z.numerator - z.denominator, z.denominator
+    d = math.lcm(*range(1, m + 1))
+    acc = dh = 0
+    a_k = 1  # a^k
+    for k in range(1, m + 1):
+        dh += d // k
+        a_k *= a
+        acc = acc * b + binom_int(m, k) * dh * a_k
+    return Fraction(acc, d * b**m)
 
 
 def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
@@ -253,6 +286,26 @@ def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
     L = math.lcm(*range(1, m + 1))
     return harmonic(m) * z**m - Fraction(
         sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)), L * b**m)
+
+
+def _rec16_euler_lhs(n: int) -> Fraction:
+    # sum_{j=1..n} (C(n,j) + 1) E_(j-1) / 2 as one integer over 2^n, since
+    # the denominator of E_(j-1) divides 2^(j-1)
+    total = 0
+    for j in range(1, n + 1):
+        e = euler_number(j - 1)
+        total += ((binom_int(n, j) + 1) * e.numerator
+                  * ((1 << n) // (2 * e.denominator)))
+    return Fraction(total, 1 << n)
+
+
+def _bpint_lhs(n: int) -> Fraction:
+    # sum_{j<=n} C(n,j) B_j / (n-j+1) as one integer over the lcm of the
+    # denominators (n-j+1) B_j.denominator
+    terms = [(binom_int(n, j) * b.numerator, (n - j + 1) * b.denominator)
+             for j, b in enumerate(map(bernoulli, range(n + 1)))]
+    d = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (d // den) for num, den in terms), d)
 
 
 def _cauchy_h_weight(k: int) -> Fraction:
@@ -371,7 +424,7 @@ CATALOG: dict[str, IdentityEntry] = {
     "GEN_WORPITZKY": IdentityEntry(
         "3 <= n <= n_max, 1 <= j <= n-2",
         _cases_gen_worpitzky, _gen_worpitzky_lhs,
-        lambda n, j: binom_int(n - 1, j) * bernoulli(n - j) / (n - j),
+        lambda n, j: _bern_term(n - 1, j),
         note=_convention_note),
     "H1": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2), _h1_lhs, lambda n: bernoulli(n - 1)),
@@ -415,9 +468,7 @@ CATALOG: dict[str, IdentityEntry] = {
         lambda n: Fraction(1)),
     "REC16_EULER": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda n: sum(((binom_int(n, j) + 1) * euler_number(j - 1) / 2
-                       for j in range(1, n + 1)), Fraction(0)),
-        lambda n: Fraction(1)),
+        _rec16_euler_lhs, lambda n: Fraction(1)),
     "AGOH_EQ11": IdentityEntry(
         "1 <= m <= m_max, random rational z",
         _cases_eq11, _agoh_eq11_lhs, _agoh_eq11_rhs),
@@ -439,8 +490,7 @@ CATALOG: dict[str, IdentityEntry] = {
     "REDUCTION": IdentityEntry(
         "1 <= j <= n <= n_max", _cases_nj(1),
         lambda n, j: _calB_row(n + 1)[j],
-        lambda n, j: (_calB(n, j - 1)
-                      + binom_int(n, j) * bernoulli(n + 1 - j) / (n + 1 - j))),
+        lambda n, j: _calB(n, j - 1) + _bern_term(n, j)),
     "STIRL20": IdentityEntry(
         "1 <= k <= n_max, parts 1 and 2", _cases_stirl20,
         lambda k, part: Fraction(stirling1(k, part)),
@@ -448,9 +498,7 @@ CATALOG: dict[str, IdentityEntry] = {
                          * (1 if part == 1 else harmonic(k - 1)))),
     "BPINT": IdentityEntry(
         "2 <= n <= n_max", _cases_n(2),
-        lambda n: sum((binom_int(n, j) * bernoulli(j) / (n - j + 1)
-                       for j in range(n + 1)), Fraction(0)),
-        lambda n: Fraction(0)),
+        _bpint_lhs, lambda n: Fraction(0)),
     "HW_CAUCHY": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
         lambda n: bernoulli_reciprocal_sum(n), _hw_cauchy_rhs),
@@ -465,10 +513,6 @@ def eval_identity(case: IdentityCase) -> tuple[Fraction, Fraction]:
     return entry.lhs(**case.params), entry.rhs(**case.params)
 
 
-def _param_key(params: Params):
-    return tuple(sorted(params.items()))
-
-
 def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
     """Sweep the full declared domain, collecting every failure. A case that
     raises counts as a failure, with a note naming the exception."""
@@ -476,10 +520,14 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
         raise KeyError(f"unknown identity {id!r}")
     bounds = bounds or SweepBounds()
     entry = CATALOG[id]
-    cases, failures = 0, []
+    failures = []
     notes = [entry.note(bounds)] if entry.note else []
-    for params in sorted(entry.cases(bounds), key=_param_key):
-        cases += 1
+    domain = list(entry.cases(bounds))
+    if domain and domain[0]:
+        # every case of one id has the same parameter names, so this is the
+        # order of tuple(sorted(params.items()))
+        domain.sort(key=operator.itemgetter(*sorted(domain[0])))
+    for params in domain:
         lhs = rhs = None
         try:
             lhs = entry.lhs(**params)
@@ -490,7 +538,7 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
             notes.append(f"{params}: {type(exc).__name__}: {exc}")
         if rhs is None or lhs != rhs:
             failures.append({"id": id, "params": params, "lhs": lhs, "rhs": rhs})
-    return Report(id, cases, failures, notes)
+    return Report(id, len(domain), failures, notes)
 
 
 def verify_all(bounds: SweepBounds | None = None,

@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -123,6 +125,32 @@ class TestSweeps:
         assert [r.id for r in reports] == list(IDENTITY_IDS)
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("id", ["MAIN", "POLYX"])
+    def test_failures_come_in_parameter_order(self, monkeypatch, id):
+        # every case fails, so the failures list the whole domain in the
+        # order of tuple(sorted(params.items())): by value, in name order.
+        # MAIN has two int parameters and POLYX a Fraction one; both are
+        # generated in another order.
+        entry = CATALOG[id]
+        monkeypatch.setitem(
+            CATALOG, id, entry._replace(rhs=lambda **p: entry.rhs(**p) + 1))
+        bounds = SweepBounds(n_max=9, rand_count=4)
+        generated = list(entry.cases(bounds))
+        expected = sorted(generated, key=lambda p: tuple(sorted(p.items())))
+        assert expected != generated
+        report = verify_identity(id, bounds)
+        assert report.cases == len(expected)
+        assert [f["params"] for f in report.failures] == expected
+
+    def test_j_min_past_n_max_gives_no_case(self):
+        bounds = SweepBounds(n_max=5, j_min=6)
+        empty = ("MAIN", "GEN_WORPITZKY", "HOCKEY", "REDUCTION")
+        for id in empty:
+            report = verify_identity(id, bounds)
+            assert (report.cases, report.failures) == (0, []), id
+        reports = verify_all(bounds)
+        assert [r.id for r in reports if not r.cases] == list(empty)
+
     def test_records_are_values(self):
         with pytest.raises(AttributeError):
             SweepBounds().n_max = 5
@@ -143,6 +171,20 @@ def test_verify_all_to_n_200_within_limit():
     assert all(r.cases for r in reports)
     assert [r.failures for r in reports if r.failures] == []
     assert elapsed < 60, f"verify_all(n_max=200) took {elapsed:.1f}s"
+
+
+@pytest.mark.slow
+def test_verify_all_to_n_300_within_limit(cold):
+    # the whole catalog from cold tables: `verify all --n-max 300` took
+    # 22.6-29.6 CPU s in one process on 2 vCPUs (Python 3.11.7, six runs),
+    # so the limit is 3x the slowest run
+    start = time.monotonic()
+    reports = verify_all(SweepBounds(n_max=300))
+    elapsed = time.monotonic() - start
+    assert all(r.cases for r in reports)
+    assert sum(r.cases for r in reports) == 245144
+    assert [r.failures for r in reports if r.failures] == []
+    assert elapsed < 90, f"verify_all(n_max=300) took {elapsed:.1f}s"
 
 
 @pytest.mark.slow
@@ -401,6 +443,54 @@ class TestRowKernels:
             for z in zs:
                 got = identities._agoh_eq11_rhs(m, z)
                 assert type(got) is Fraction and got == eq11(m, z), (m, z)
+
+    def test_one_fraction_sides_match_fraction_chains(self):
+        # each side that sums in integers over one denominator equals the
+        # Fraction chain it replaced, written out as it read before
+        B, E = classical.bernoulli, classical.euler_number
+        C, H = seqcore.binom_int, seqcore.harmonic
+        lhs = {id: entry.lhs for id, entry in CATALOG.items()}
+        rhs = {id: entry.rhs for id, entry in CATALOG.items()}
+
+        def agoh(n, m):
+            L = math.lcm(*range(1, m + 1))
+            return m**n * (H(m) - H(n)) - Fraction(
+                sum((m - j) ** n * (L // j) for j in range(1, m + 1)), L)
+
+        def check(got, want, case):
+            assert type(got) is Fraction and got == want, case
+
+        for n in range(81):
+            check(lhs["REC16_EULER"](n=n),
+                  sum(((C(n, j) + 1) * E(j - 1) / 2 for j in range(1, n + 1)),
+                      Fraction(0)), ("REC16_EULER", n))
+            check(lhs["BPINT"](n=n),
+                  sum((C(n, j) * B(j) / (n - j + 1) for j in range(n + 1)),
+                      Fraction(0)), ("BPINT", n))
+            for j in range(n + 1):
+                check(identities._bern_term(n, j),
+                      C(n, j) * B(n + 1 - j) / (n + 1 - j), ("B-term", n, j))
+            for j in range(n):
+                check(rhs["GEN_WORPITZKY"](n=n, j=j),
+                      C(n - 1, j) * B(n - j) / (n - j), ("GEN_WORPITZKY", n, j))
+            for j in range(1, n + 1):
+                check(rhs["REDUCTION"](n=n, j=j),
+                      (identities._calB(n, j - 1)
+                       + C(n, j) * B(n + 1 - j) / (n + 1 - j)),
+                      ("REDUCTION", n, j))
+            for m in range(31):
+                check(rhs["AGOH"](n=n, m=m), agoh(n, m), ("AGOH", n, m))
+                if n:
+                    check(rhs["AGOH_ALT"](n=n, m=m),
+                          agoh(n, m) + m ** (n - 1) * (n - 1),
+                          ("AGOH_ALT", n, m))
+        rng = random.Random(26)
+        zs = [0, 1] + [identities._rand_rational(rng) for _ in range(12)]
+        for m in range(31):
+            for z in zs:
+                check(lhs["AGOH_EQ11"](m=m, z=z),
+                      fps.Egf([C(m, k) * H(k) for k in range(m + 1)])(z - 1),
+                      ("AGOH_EQ11", m, z))
 
     def test_perturbed_calB_row_is_caught(self, cold):
         # one wrong entry of the memoised H_k row (n, j) = (10, 4) fails the
