@@ -2,8 +2,7 @@
 poly-Bernoulli numbers, with identity and congruence verification suites."""
 
 from .classical import (bernoulli, bernoulli_poly, bernoulli_poly_at, cauchy1,
-                        euler_at_one, euler_number, euler_poly, hw,
-                        worpitzky_bernoulli)
+                        euler_number, hw, worpitzky_bernoulli)
 from .congr import check_congruence, prime_sweep, rational_mod
 from .fps import Egf, named_series
 from .identities import (IdentityCase, SweepBounds, eval_identity,
@@ -18,7 +17,7 @@ __all__ = [
     "Egf", "IdentityCase", "SweepBounds",
     "bernoulli", "bernoulli_poly", "bernoulli_poly_at", "binom", "binom_int",
     "cauchy1", "check_congruence", "dibernoulli", "dibernoulli_at_one",
-    "euler_at_one", "euler_number", "euler_poly", "eval_identity",
+    "euler_number", "eval_identity",
     "factorial", "harmonic", "harmonic_gen", "hw",
     "named_series", "poly_bernoulli", "prime_sweep", "rational_mod",
     "stirling1", "stirling2", "verify_all", "verify_identity",

@@ -1,7 +1,9 @@
-"""Bernoulli and Euler numbers/polynomials, Cauchy numbers of the first
-kind, and the harmonic-weighted Stirling transform.
+"""Bernoulli numbers and polynomials, Euler numbers E_n = E_n(0), Cauchy
+numbers of the first kind, and the harmonic-weighted Stirling transform.
 
-Bernoulli convention is fixed at B_1 = -1/2 throughout.
+Bernoulli convention is fixed at B_1 = -1/2 throughout. The Euler
+polynomials have one route, the series 2e^{xt}/(e^t+1) in `fps`
+(`named_series("euler-poly-egf", n, x=x)`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ _BERN_SUM: list[Fraction] = memo([Fraction(1)])  # sum_{j<=n} B_j
 _BERN_RECIP: dict[int, Fraction] = memo({})  # n -> sum_{j<=n} B_j/(n-j+1)
 _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
 _EULER_SUM: list[int] = memo([1])  # sum_{j<=n} e_j 2^(n-j) = 2^n sum E_j(0)
-_EULER_POLYS: list[Egf] = memo([Egf([1])])
 _CAUCHY1: list[Fraction] = memo([Fraction(1)])
 # T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
 # integer since j + 1 divides L; the last entry is T_k = L / (k+1)
@@ -103,28 +104,12 @@ def bernoulli_poly_at(n: int, x) -> Fraction:
     return bernoulli_poly(n)(x)
 
 
-def euler_poly(n: int) -> Egf:
-    """E_n(x) by the recurrence E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x),
-    as an Egf of order n."""
-    if n < 0:
-        raise ValueError("euler_poly requires n >= 0")
-    while len(_EULER_POLYS) <= n:
-        m = len(_EULER_POLYS)
-        acc = [Fraction(0)] * m
-        for j, e in enumerate(_EULER_POLYS):
-            c = binom_int(m, j)
-            for i, a in enumerate(e.coeffs):
-                if a:
-                    acc[i] += c * a
-        _EULER_POLYS.append(Egf([-a / 2 for a in acc] + [1]))
-    return _EULER_POLYS[n]
-
-
 def euler_number(n: int) -> Fraction:
     """E_n = E_n(0), from the integers e_n = 2^n E_n(0): e_0 = 1 and
-    e_n = -sum_{j<n} C(n,j) 2^(n-1-j) e_j, which is the x = 0 value of the
-    Euler polynomial recurrence scaled by 2^n. O(n) integer operations per
-    new n, independent of euler_poly."""
+    e_n = -sum_{j<n} C(n,j) 2^(n-1-j) e_j, which is the recurrence
+    E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x) at x = 0, scaled by 2^n.
+    O(n) integer operations per new n. It shares no code with the series
+    route named_series("euler-poly-egf", n, x=0), which checks it."""
     if n < 0:
         raise ValueError("euler_number requires n >= 0")
     while len(_EULER2) <= n:
@@ -148,10 +133,6 @@ def euler_sum(n: int) -> Fraction:
     while len(_EULER_SUM) <= n:
         _EULER_SUM.append(2 * _EULER_SUM[-1] + _EULER2[len(_EULER_SUM)])
     return Fraction(_EULER_SUM[n], 1 << n)
-
-
-def euler_at_one(n: int) -> Fraction:
-    return euler_poly(n)(1)
 
 
 def cauchy1(k: int) -> Fraction:

@@ -264,8 +264,10 @@ def _cmd_congruence(args) -> int:
             return 2
     if _too_small(args, p_max=3):
         return 2
-    report = congr.prime_sweep(ids, args.p_max)
-    return _emit_sweep("congruence", [report], report.notes, args)
+    reports = [congr.prime_sweep((id,), args.p_max)._replace(id=id)
+               for id in ids]
+    return _emit_sweep("congruence", reports,
+                       [note for rep in reports for note in rep.notes], args)
 
 
 def _cmd_series(args) -> int:

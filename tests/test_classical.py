@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from bernkit import classical, fps, seqcore
 from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
-                               cauchy1, cauchy1_integral, euler_at_one,
-                               euler_number, euler_poly, hw,
+                               cauchy1, cauchy1_integral, euler_number, hw,
                                worpitzky_bernoulli)
 from bernkit.congr import odd_primes_upto, prime_sweep
 from bernkit.fps import Egf
@@ -123,13 +122,15 @@ class TestEuler:
 
     def test_at_one_vs_bernoulli(self):
         # E_k(1) = -E_k(0) = 2(2^(k+1)-1) B_(k+1)/(k+1); fails at k=0
-        # (E_0 is the constant 1), holds from k=1 on. Three independent
-        # routes: euler_at_one reads the Euler polynomials, euler_number the
-        # integer recurrence for 2^k E_k(0), bernoulli the tangent numbers.
-        assert euler_at_one(1) == -euler_number(1) == Fraction(1, 2)
+        # (E_0 is the constant 1), holds from k=1 on (DLMF 24.4). Three
+        # independent routes: the series 2e^t/(e^t+1) gives E_k(1),
+        # euler_number the integer recurrence for 2^k E_k(0), bernoulli the
+        # tangent numbers.
+        at_one = fps.named_series("euler-poly-egf", 40, x=1)
+        assert at_one.egf(1) == -euler_number(1) == Fraction(1, 2)
         for k in range(1, 41):
             closed = 2 * (2 ** (k + 1) - 1) * bernoulli(k + 1) / (k + 1)
-            assert euler_at_one(k) == -euler_number(k) == closed
+            assert at_one.egf(k) == -euler_number(k) == closed
 
     def test_tangent_numbers_match_bernoulli(self):
         # euler_number's recurrence and bernoulli's tangent column reach
@@ -147,8 +148,10 @@ class TestEuler:
         assert euler_tangent_mismatches(30) == [5] + list(range(11, 31))
 
     def test_matches_poly_route(self):
+        # the series 2/(e^t+1) by inversion, which reads no classical code
+        series = fps.named_series("euler-poly-egf", 150, x=0)
         for n in range(151):
-            assert euler_number(n) == euler_poly(n)(0)
+            assert euler_number(n) == series.egf(n)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="euler_number requires n >= 0"):
@@ -160,10 +163,15 @@ class TestEuler:
             assert v.denominator == 1
 
     def test_poly_matches_series_oracle(self):
+        # E_n(x) = sum_k C(n,k) E_k(0) x^(n-k), from the recurrence's values
+        # at x = 0, against the series 2e^{xt}/(e^t+1) at x
         for x in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3)):
             series = fps.named_series("euler-poly-egf", 20, x=x)
             for n in range(21):
-                assert euler_poly(n)(x) == series.egf(n)
+                expanded = sum((binom_int(n, k) * euler_number(k)
+                                * x ** (n - k) for k in range(n + 1)),
+                               Fraction(0))
+                assert expanded == series.egf(n)
 
 
 class TestCauchy:
@@ -275,16 +283,17 @@ def test_agoh_harmonic_equality():
 def test_polynomials_are_egfs_of_order_n():
     # degree n with leading coefficient 1, so no trailing zero to trim
     for n in range(31):
-        for poly in (bernoulli_poly(n), euler_poly(n)):
-            assert isinstance(poly, Egf)
-            assert poly.order == n and poly.coeffs[-1] == 1
+        poly = bernoulli_poly(n)
+        assert isinstance(poly, Egf)
+        assert poly.order == n and poly.coeffs[-1] == 1
 
 
 def test_oracle_routes_do_not_read_the_checked_routes(cold, monkeypatch):
-    # cauchy1_integral checks cauchy1 (a Stirling sum), and euler_poly
-    # checks euler_number: neither may call the route it checks.
+    # cauchy1_integral checks cauchy1 (a Stirling sum), and the series
+    # 2e^{xt}/(e^t+1) checks euler_number: neither may call the route it
+    # checks.
     cauchy = [cauchy1_integral(k) for k in range(25)]
-    euler = [euler_poly(n) for n in range(25)]
+    euler = fps.named_series("euler-poly-egf", 24, x=0).coeffs
 
     def checked_route(*args):
         raise AssertionError("oracle route called the route it checks")
@@ -294,7 +303,7 @@ def test_oracle_routes_do_not_read_the_checked_routes(cold, monkeypatch):
     monkeypatch.setattr(classical, "euler_number", checked_route)
     clear_memos()
     assert [cauchy1_integral(k) for k in range(25)] == cauchy
-    assert [euler_poly(n) for n in range(25)] == euler
+    assert fps.named_series("euler-poly-egf", 24, x=0).coeffs == euler
 
 
 @pytest.fixture(scope="module")

@@ -224,12 +224,15 @@ def test_out_of_range_option_exits_2(capsys, argv):
     ("verify", "MAIN", "--n-max", "-5"),
     ("verify", "MAIN", "--n-max", "10", "--j-min", "50"),
     ("congruence", "C4", "--p-max", "3"),
+    ("congruence", "all", "--p-max", "3"),
 ])
 def test_empty_domain_exits_2(capsys, argv):
     code = cli.main([*argv, "--no-meta"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "no cases" in captured.err
+    if "all" in argv:  # C4 has no prime below 5, beside ids that ran cases
+        assert "no cases for C4 in" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

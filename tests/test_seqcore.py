@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bernkit import classical, identities, polybern, seqcore
-from bernkit.fps import Egf
 from bernkit.identities import IdentityCase, eval_identity
 from bernkit.seqcore import (binom, binom_int, clear_memos, factorial,
                              harmonic, harmonic_gen, stirling1, stirling2,
@@ -133,7 +132,7 @@ def test_every_memo_table_is_registered_and_cleared():
             "_HM": {}, "_TRANSFORM_COLUMNS": {}, "_BERN": [Fraction(1)],
             "_TAN": [],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
-            "_EULER_SUM": [1], "_EULER_POLYS": [Egf([1])],
+            "_EULER_SUM": [1],
             "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_HW_FALLING": {},
             "_CALB_ROWS": {}, "_BERN_ROWS": {},
             "_CACHE": {}}
@@ -151,7 +150,6 @@ def test_every_memo_table_is_registered_and_cleared():
     classical.bernoulli_reciprocal_sum(30)
     classical.euler_number(30)
     classical.euler_sum(30)
-    classical.euler_poly(8)
     classical.cauchy1(30)
     classical.hw(12, Fraction(-3, 5))
     classical.worpitzky_bernoulli(12)
