@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import seqcore
 from .fps import Egf
 from .seqcore import (binom, binom_int, factorial, memo, stirling2,
                       stirling2_transform)
@@ -181,8 +182,10 @@ def hw(n: int, x) -> Fraction:
     With x = a/b, F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b) and
     d H_k, d = lcm(1..n), are integers. The F_k are kept per x and grow by
     appending, each new one read once from binom(x, k); d H_k is carried
-    as the running sum of d // k. The sum over b^n d is one Horner pass in
-    b, total <- total b + {n,k} F_k d H_k, normalised once."""
+    as the running sum of d // k. Row n of S2 is read once per call, after
+    one stirling2 call fills the triangle to it. The sum over b^n d is one
+    Horner pass in b, total <- total b + {n,k} F_k d H_k, normalised
+    once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
     x = Fraction(x)
@@ -192,9 +195,11 @@ def hw(n: int, x) -> Fraction:
         k = len(falling)
         c = binom(x, k)
         falling.append(c.numerator * (factorial(k) * b**k // c.denominator))
+    stirling2(n, 0)  # fills the S2 triangle to row n
+    row = seqcore._S2[n]
     d = math.lcm(*range(1, n + 1))
     total = dh = 0  # dh = d H_k
     for k in range(1, n + 1):
         dh += d // k
-        total = total * b + stirling2(n, k) * falling[k] * dh
+        total = total * b + row[k] * falling[k] * dh
     return Fraction(total, b**n * d)

@@ -36,14 +36,20 @@ the transform keeps per weight, and each weight is computed once per k.
 
 The sides that would otherwise chain one Fraction operation per term sum in
 integers over one denominator and build one Fraction, normalised once: the
-right sides of AGOH and AGOH_ALT (`_agoh_rhs`, over lcm(1..m) and the
-denominators of H_m and H_n) and of AGOH_EQ11 (over lcm(1..m) b^m, with
-z = a/b), the term C(N,j) B_(N+1-j) / (N+1-j) of
-GEN_WORPITZKY's and REDUCTION's right sides (`_bern_term`), REC16_EULER's
-left side (over 2^n), BPINT's (over the lcm of its term denominators) and
-AGOH_EQ11's (one Horner pass in b, with z - 1 = a/b, carrying lcm(1..m) H_k
-as a running sum). Each is still a term-by-term direct sum. A sweep orders
-its cases by parameter value, in parameter-name order.
+right sides of AGOH and AGOH_ALT (`_agoh_sum`, over lcm(1..m) and the
+denominators of H_m and H_n), of POLYX (`_polyx_rhs`, hw(n, x) - H_n x^n
+over b^n lcm(1..n), with x = a/b) and of AGOH_EQ11 (H_m z^m minus its sum,
+over lcm(1..m) b^m, with z = a/b), each coefficient of `_bern_row`, the
+term C(N,j) B_(N+1-j) / (N+1-j) of GEN_WORPITZKY's and REDUCTION's right
+sides (`_bern_term`), REC16_EULER's left side (over 2^n), BPINT's (over the
+lcm of its term denominators) and AGOH_EQ11's (one Horner pass in b, with
+z - 1 = a/b, carrying lcm(1..m) H_k as a running sum). The Agoh sum is
+memoised per (n, m) in `_AGOH_RHS`, so AGOH_ALT's right side reads the sum
+AGOH's computed and adds m^(n-1) (n-1) to it. HOCKEY's left side walks
+sum_{k<j} C(n-k, j-k) from k = j - 1 down, each term the one before times
+(n-k)/(j-k), an exact integer division. Each is still a term-by-term
+direct sum, not a closed form. A sweep orders its cases by parameter value,
+in parameter-name order.
 
 The records `IdentityCase`, `SweepBounds`, `IdentityEntry` and `Report` are
 immutable tuple values (`typing.NamedTuple`), like `congr`'s; change one
@@ -236,12 +242,15 @@ _BERN_ROWS: dict[tuple[int, int], Egf] = memo({})
 
 def _bern_row(n: int, shift: int = -1) -> Egf:
     """sum_{j=1..n} (C(n,j) + shift) B_j / j x^(n-j) as an Egf of order n
-    (0 at x^n), memoised per (n, shift). Shift -1 is Agoh's polynomial, and
-    shift +1 REC16's."""
+    (0 at x^n), memoised per (n, shift), each coefficient built as one
+    Fraction. Shift -1 is Agoh's polynomial, and shift +1 REC16's."""
     if (n, shift) not in _BERN_ROWS:
-        _BERN_ROWS[n, shift] = Egf([(binom_int(n, n - i) + shift)
-                                    * bernoulli(n - i) / (n - i)
-                                    for i in range(n)] + [0])
+        coeffs = []
+        for i in range(n):
+            b = bernoulli(n - i)
+            coeffs.append(Fraction((binom_int(n, n - i) + shift) * b.numerator,
+                                   (n - i) * b.denominator))
+        _BERN_ROWS[n, shift] = Egf(coeffs + [0])
     return _BERN_ROWS[n, shift]
 
 
@@ -251,7 +260,29 @@ def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
     return _calB_row(n)[coeff] - (harmonic(n) if coeff == n else 0)
 
 
+def _polyx_rhs(n: int, x: Fraction) -> Fraction:
+    # hw(n, x) - H_n x^n as one integer over b^n d, with x = a/b and
+    # d = lcm(1..n), a multiple of the denominators of hw(n, x) and of H_n
+    h, hn = hw(n, x), harmonic(n)
+    x = Fraction(x)
+    d = math.lcm(*range(1, n + 1))
+    den = x.denominator**n * d
+    return Fraction(h.numerator * (den // h.denominator)
+                    - hn.numerator * (d // hn.denominator) * x.numerator**n,
+                    den)
+
+
+# (n, m) -> _agoh_sum(n, m), read by the right sides of AGOH and AGOH_ALT
+_AGOH_RHS: dict[tuple[int, int], Fraction] = memo({})
+
+
 def _agoh_rhs(n: int, m: int) -> Fraction:
+    if (n, m) not in _AGOH_RHS:
+        _AGOH_RHS[n, m] = _agoh_sum(n, m)
+    return _AGOH_RHS[n, m]
+
+
+def _agoh_sum(n: int, m: int) -> Fraction:
     # m^n (H_m - H_n) - sum_{j=1..m} (m-j)^n / j as one integer over d, the
     # lcm of 1..m and the denominators of H_m and H_n
     hm, hn = harmonic(m), harmonic(n)
@@ -279,13 +310,16 @@ def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
 
 
 def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
-    # with z = a/b, sum_{k<m} z^k / (m-k) is one integer over L b^m,
-    # L = lcm(1..m)
+    # with z = a/b, H_m z^m - sum_{k<m} z^k / (m-k) is one integer over
+    # L b^m, L = lcm(1..m), a multiple of the denominator of H_m
     z = Fraction(z)
     a, b = z.numerator, z.denominator
     L = math.lcm(*range(1, m + 1))
-    return harmonic(m) * z**m - Fraction(
-        sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)), L * b**m)
+    hm = harmonic(m)
+    return Fraction(
+        hm.numerator * (L // hm.denominator) * a**m
+        - sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)),
+        L * b**m)
 
 
 def _rec16_euler_lhs(n: int) -> Fraction:
@@ -306,6 +340,16 @@ def _bpint_lhs(n: int) -> Fraction:
              for j, b in enumerate(map(bernoulli, range(n + 1)))]
     d = math.lcm(*(den for _, den in terms))
     return Fraction(sum(num * (d // den) for num, den in terms), d)
+
+
+def _hockey_lhs(n: int, j: int) -> Fraction:
+    # sum_{k<j} C(n-k, j-k), term by term from k = j - 1 down: each term is
+    # the one before times (n-k)/(j-k), an exact division
+    total, term = 0, 1  # term = C(n-j, 0)
+    for k in range(j - 1, -1, -1):
+        term = term * (n - k) // (j - k)
+        total += term
+    return Fraction(total)
 
 
 def _cauchy_h_weight(k: int) -> Fraction:
@@ -438,7 +482,7 @@ CATALOG: dict[str, IdentityEntry] = {
         "1 <= n <= n_max, random nonzero rational x",
         _cases_polyx,
         lambda n, x: _bern_row(n)(x),
-        lambda n, x: hw(n, x) - harmonic(n) * Fraction(x) ** n),
+        _polyx_rhs),
     "POLYX_COEFFS": IdentityEntry(
         "1 <= n <= n_max, coefficientwise in x",
         _cases_polyx_coeffs, lambda n, coeff: _bern_row(n).coeff(coeff),
@@ -451,6 +495,8 @@ CATALOG: dict[str, IdentityEntry] = {
         "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
         # sum_j (-1)^j c_j m^(n-j) = (-1)^n sum_j c_j (-m)^(n-j)
         lambda n, m: (-1) ** n * _bern_row(n)(-m),
+        # the memoised sum AGOH computed; a Fraction plus an int adds into
+        # its numerator without normalising again
         lambda n, m: _agoh_rhs(n, m) + m ** (n - 1) * (n - 1)),
     "AGOH_M1": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
@@ -485,7 +531,7 @@ CATALOG: dict[str, IdentityEntry] = {
         lambda n: dibernoulli_at_one(n) - dibernoulli(n) + n * (n - 1)),
     "HOCKEY": IdentityEntry(
         "1 <= j <= n <= n_max", _cases_nj(1),
-        lambda n, j: Fraction(sum(binom_int(n - k, j - k) for k in range(j))),
+        _hockey_lhs,
         lambda n, j: Fraction(binom_int(n + 1, j) - 1)),
     "REDUCTION": IdentityEntry(
         "1 <= j <= n <= n_max", _cases_nj(1),

@@ -11,23 +11,27 @@ import pytest
 
 from bernkit import classical, cli, congr, fps, identities, polybern, seqcore
 from bernkit.congr import odd_primes_upto
-from bernkit.identities import SweepBounds, verify_all
+from bernkit.identities import SweepBounds, verify_all, verify_identity
 
-MODULES = (seqcore, classical, fps, polybern, identities, congr, cli)
+MODULES = {module.__name__.rpartition(".")[2]: module
+           for module in (seqcore, classical, fps, polybern, identities,
+                          congr, cli)}
 TABLES = {"_S1": seqcore, "_S2": seqcore, "_BERN": classical,
           "_EULER2": classical, "_CAUCHY1": classical}
 
 
-def count_calls(monkeypatch, name):
-    """Wrap seqcore's function `name` under every module name bound to it,
-    and return the list that collects the arguments of each call."""
-    original, calls = getattr(seqcore, name), []
+def count_calls(monkeypatch, qualname):
+    """Wrap the function `qualname`, "module.name", under every module name
+    bound to it, and return the list that collects the arguments of each
+    call."""
+    layer, name = qualname.split(".")
+    original, calls = getattr(MODULES[layer], name), []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for module in MODULES:
+    for module in MODULES.values():
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
@@ -46,35 +50,47 @@ def congruence_tables(p_max):
             "_S2": p + 1}
 
 
-# name: (run at bound N, two bounds, counted seqcore function or None,
-#        expected counts as a function of N)
+# name: (run at a bound, two bounds, expected counts at that bound); a key
+# "module.name" counts the calls of that function, any other key is the
+# length of that memo table when the run ends
 ROWS = {
     # hw reads binom(x, k) once per new k of its falling row for x, and the
-    # dump fills that row once, at n = N
+    # dump fills that row once, at n = N; each hw(n, x), n = 1..N, makes one
+    # stirling2 call that fills S2 to row n, then reads the row
     "compute-hw": (
         lambda n: run_cli("compute", "hw", "--n-max", str(n)), (40, 80),
-        "binom", lambda n: {"binom": n}),
+        lambda n: {"seqcore.binom": n, "seqcore.stirling2": n}),
     # _calB's column weights read [k,j] once for each 1 <= k <= N and
     # 0 <= j < N, and STIRL20 reads [k,1] and [k,2] once for each k <= N;
     # the tables fill to rows N and N + 1 (_calB_row reads {N+1,k})
     "verify-all": (
         lambda n: verify_all(SweepBounds(n_max=n)), (20, 45),
-        "stirling1",
-        lambda n: {"stirling1": n * n + 2 * n, "_S1": n + 1, "_S2": n + 2}),
+        lambda n: {"seqcore.stirling1": n * n + 2 * n, "_S1": n + 1,
+                   "_S2": n + 2}),
+    # AGOH and AGOH_ALT read one memoised Agoh sum per (n, m)
+    "agoh-sum": (
+        lambda nm: verify_all(SweepBounds(n_max=nm[0], m_max=nm[1])),
+        ((20, 6), (45, 20)),
+        lambda nm: {"identities._agoh_sum": nm[0] * nm[1]}),
+    # HOCKEY's left side walks its terms by a running product, and its
+    # right side reads C(n+1, j) once per case 1 <= j <= n <= N
+    "hockey": (
+        lambda n: verify_identity("HOCKEY", SweepBounds(n_max=n)), (40, 80),
+        lambda n: {"seqcore.binom_int": n * (n + 1) // 2}),
     "congruence-all": (
         lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
-        (31, 151), None, congruence_tables),
+        (31, 151), congruence_tables),
 }
 
 
 @pytest.mark.parametrize("bound_index", [0, 1], ids=["low", "high"])
 @pytest.mark.parametrize("row", list(ROWS))
 def test_cost_contract(cold, monkeypatch, row, bound_index):
-    run, bounds, counted, expected = ROWS[row]
+    run, bounds, expected = ROWS[row]
     bound = bounds[bound_index]
-    calls = count_calls(monkeypatch, counted) if counted else []
-    run(bound)
     want = expected(bound)
-    got = {key: len(calls if key == counted else getattr(TABLES[key], key))
+    calls = {key: count_calls(monkeypatch, key) for key in want if "." in key}
+    run(bound)
+    got = {key: len(calls[key] if key in calls else getattr(TABLES[key], key))
            for key in want}
     assert got == want

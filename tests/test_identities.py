@@ -446,7 +446,8 @@ class TestRowKernels:
 
     def test_one_fraction_sides_match_fraction_chains(self):
         # each side that sums in integers over one denominator equals the
-        # Fraction chain it replaced, written out as it read before
+        # Fraction chain it replaced, written out as it read before, and
+        # HOCKEY's running product equals its sum of binomials
         B, E = classical.bernoulli, classical.euler_number
         C, H = seqcore.binom_int, seqcore.harmonic
         lhs = {id: entry.lhs for id, entry in CATALOG.items()}
@@ -460,7 +461,22 @@ class TestRowKernels:
         def check(got, want, case):
             assert type(got) is Fraction and got == want, case
 
+        rng = random.Random(26)
+        zs = [0, 1] + [identities._rand_rational(rng) for _ in range(12)]
+        xs = [x for x in zs[1:] if x][:5]
         for n in range(81):
+            for shift in (-1, 1):
+                assert identities._bern_row(n, shift).coeffs == fps.Egf(
+                    [(C(n, n - i) + shift) * B(n - i) / (n - i)
+                     for i in range(n)] + [0]).coeffs, ("row", n, shift)
+            for j in range(1, n + 1):
+                check(lhs["HOCKEY"](n=n, j=j),
+                      Fraction(sum(math.comb(n - k, j - k) for k in range(j))),
+                      ("HOCKEY", n, j))
+            for x in xs if n else ():
+                check(rhs["POLYX"](n=n, x=x),
+                      classical.hw(n, x) - H(n) * Fraction(x) ** n,
+                      ("POLYX", n, x))
             check(lhs["REC16_EULER"](n=n),
                   sum(((C(n, j) + 1) * E(j - 1) / 2 for j in range(1, n + 1)),
                       Fraction(0)), ("REC16_EULER", n))
@@ -484,12 +500,17 @@ class TestRowKernels:
                     check(rhs["AGOH_ALT"](n=n, m=m),
                           agoh(n, m) + m ** (n - 1) * (n - 1),
                           ("AGOH_ALT", n, m))
-        rng = random.Random(26)
-        zs = [0, 1] + [identities._rand_rational(rng) for _ in range(12)]
         for m in range(31):
             for z in zs:
                 check(lhs["AGOH_EQ11"](m=m, z=z),
                       fps.Egf([C(m, k) * H(k) for k in range(m + 1)])(z - 1),
+                      ("AGOH_EQ11", m, z))
+                L = math.lcm(*range(1, m + 1))
+                check(rhs["AGOH_EQ11"](m=m, z=z),
+                      H(m) * Fraction(z) ** m - Fraction(
+                          sum(z.numerator**k * z.denominator ** (m - k)
+                              * (L // (m - k)) for k in range(m)),
+                          L * z.denominator**m),
                       ("AGOH_EQ11", m, z))
 
     def test_perturbed_calB_row_is_caught(self, cold):

@@ -134,7 +134,7 @@ def test_every_memo_table_is_registered_and_cleared():
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
             "_EULER_SUM": [1],
             "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_HW_FALLING": {},
-            "_CALB_ROWS": {}, "_BERN_ROWS": {},
+            "_CALB_ROWS": {}, "_BERN_ROWS": {}, "_AGOH_RHS": {},
             "_CACHE": {}}
     tables = [(name, value)
               for mod in (seqcore, classical, identities, polybern)
