@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import seqcore
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, memo, stirling2,
+from .seqcore import (binom, binom_int, factorial, memo, ratsum, stirling2,
                       stirling2_transform)
 
 
@@ -68,18 +68,14 @@ def bernoulli_sum(n: int) -> Fraction:
 
 
 def bernoulli_reciprocal_sum(n: int) -> Fraction:
-    """sum_{j<=n} B_j / (n - j + 1), summed in integers over the lcm of the
-    denominators B_j.denominator (n - j + 1), normalised once and memoised
-    per n (0 for n < 0)."""
+    """sum_{j<=n} B_j / (n - j + 1) over the nonzero B_j, one `ratsum`,
+    memoised per n (0 for n < 0)."""
     if n < 0:
         return Fraction(0)
     if n not in _BERN_RECIP:
         bernoulli(n)
-        terms = [(b.numerator, b.denominator * (n - j + 1))
-                 for j, b in enumerate(_BERN[:n + 1]) if b]
-        d = math.lcm(*(den for _, den in terms))
-        _BERN_RECIP[n] = Fraction(sum(num * (d // den) for num, den in terms),
-                                  d)
+        _BERN_RECIP[n] = ratsum((b.numerator, b.denominator * (n - j + 1))
+                                for j, b in enumerate(_BERN[:n + 1]) if b)
     return _BERN_RECIP[n]
 
 

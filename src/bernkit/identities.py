@@ -34,22 +34,9 @@ directly). Each of its weights is a module-level function (`_h1_weight`,
 (`_calB_weight`), so every case of an id reads the one integer column that
 the transform keeps per weight, and each weight is computed once per k.
 
-The sides that would otherwise chain one Fraction operation per term sum in
-integers over one denominator and build one Fraction, normalised once: the
-right sides of AGOH and AGOH_ALT (`_agoh_sum`, over lcm(1..m) and the
-denominators of H_m and H_n), of POLYX (`_polyx_rhs`, hw(n, x) - H_n x^n
-over b^n lcm(1..n), with x = a/b) and of AGOH_EQ11 (H_m z^m minus its sum,
-over lcm(1..m) b^m, with z = a/b), each coefficient of `_bern_row`, the
-term C(N,j) B_(N+1-j) / (N+1-j) of GEN_WORPITZKY's and REDUCTION's right
-sides (`_bern_term`), REC16_EULER's left side (over 2^n), BPINT's (over the
-lcm of its term denominators) and AGOH_EQ11's (one Horner pass in b, with
-z - 1 = a/b, carrying lcm(1..m) H_k as a running sum). The Agoh sum is
-memoised per (n, m) in `_AGOH_RHS`, so AGOH_ALT's right side reads the sum
-AGOH's computed and adds m^(n-1) (n-1) to it. HOCKEY's left side walks
-sum_{k<j} C(n-k, j-k) from k = j - 1 down, each term the one before times
-(n-k)/(j-k), an exact integer division. Each is still a term-by-term
-direct sum, not a closed form. A sweep orders its cases by parameter value,
-in parameter-name order.
+The direct sums whose terms have unlike denominators add them with
+`seqcore.ratsum`, in integers over their lcm and normalised once, instead
+of one Fraction operation per term; each is still term by term.
 
 The records `IdentityCase`, `SweepBounds`, `IdentityEntry` and `Report` are
 immutable tuple values (`typing.NamedTuple`), like `congr`'s; change one
@@ -71,7 +58,7 @@ from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
 from .fps import Egf
 from .polybern import dibernoulli, dibernoulli_at_one
 from .seqcore import (binom_int, factorial, harmonic, harmonic_gen, memo,
-                      stirling1, stirling2, stirling2_transform)
+                      ratsum, stirling1, stirling2, stirling2_transform)
 
 Params = dict[str, int | Fraction]
 
@@ -96,7 +83,8 @@ class Report(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        # an empty domain is not a pass
+        return self.cases > 0 and not self.failures
 
 
 class SweepBounds(NamedTuple):
@@ -261,15 +249,11 @@ def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
 
 
 def _polyx_rhs(n: int, x: Fraction) -> Fraction:
-    # hw(n, x) - H_n x^n as one integer over b^n d, with x = a/b and
-    # d = lcm(1..n), a multiple of the denominators of hw(n, x) and of H_n
-    h, hn = hw(n, x), harmonic(n)
-    x = Fraction(x)
-    d = math.lcm(*range(1, n + 1))
-    den = x.denominator**n * d
-    return Fraction(h.numerator * (den // h.denominator)
-                    - hn.numerator * (d // hn.denominator) * x.numerator**n,
-                    den)
+    # hw(n, x) - H_n x^n
+    h, hn, x = hw(n, x), harmonic(n), Fraction(x)
+    return ratsum(((h.numerator, h.denominator),
+                   (-hn.numerator * x.numerator**n,
+                    hn.denominator * x.denominator**n)))
 
 
 # (n, m) -> _agoh_sum(n, m), read by the right sides of AGOH and AGOH_ALT
@@ -283,14 +267,11 @@ def _agoh_rhs(n: int, m: int) -> Fraction:
 
 
 def _agoh_sum(n: int, m: int) -> Fraction:
-    # m^n (H_m - H_n) - sum_{j=1..m} (m-j)^n / j as one integer over d, the
-    # lcm of 1..m and the denominators of H_m and H_n
-    hm, hn = harmonic(m), harmonic(n)
-    d = math.lcm(*range(1, m + 1), hm.denominator, hn.denominator)
-    return Fraction(
-        m**n * (hm.numerator * (d // hm.denominator)
-                - hn.numerator * (d // hn.denominator))
-        - sum((m - j) ** n * (d // j) for j in range(1, m + 1)), d)
+    # m^n (H_m - H_n) - sum_{j=1..m} (m-j)^n / j
+    hm, hn, mn = harmonic(m), harmonic(n), m**n
+    return ratsum([(mn * hm.numerator, hm.denominator),
+                   (-mn * hn.numerator, hn.denominator),
+                   *((-(m - j) ** n, j) for j in range(1, m + 1))])
 
 
 def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
@@ -310,36 +291,23 @@ def _agoh_eq11_lhs(m: int, z: Fraction) -> Fraction:
 
 
 def _agoh_eq11_rhs(m: int, z: Fraction) -> Fraction:
-    # with z = a/b, H_m z^m - sum_{k<m} z^k / (m-k) is one integer over
-    # L b^m, L = lcm(1..m), a multiple of the denominator of H_m
-    z = Fraction(z)
+    # H_m z^m - sum_{k<m} z^k / (m-k), with z = a/b
+    z, hm = Fraction(z), harmonic(m)
     a, b = z.numerator, z.denominator
-    L = math.lcm(*range(1, m + 1))
-    hm = harmonic(m)
-    return Fraction(
-        hm.numerator * (L // hm.denominator) * a**m
-        - sum(a**k * b ** (m - k) * (L // (m - k)) for k in range(m)),
-        L * b**m)
+    return ratsum([(hm.numerator * a**m, hm.denominator * b**m),
+                   *((-a**k, b**k * (m - k)) for k in range(m))])
 
 
 def _rec16_euler_lhs(n: int) -> Fraction:
-    # sum_{j=1..n} (C(n,j) + 1) E_(j-1) / 2 as one integer over 2^n, since
-    # the denominator of E_(j-1) divides 2^(j-1)
-    total = 0
-    for j in range(1, n + 1):
-        e = euler_number(j - 1)
-        total += ((binom_int(n, j) + 1) * e.numerator
-                  * ((1 << n) // (2 * e.denominator)))
-    return Fraction(total, 1 << n)
+    # sum_{j=1..n} (C(n,j) + 1) E_(j-1) / 2
+    return ratsum(((binom_int(n, j) + 1) * e.numerator, 2 * e.denominator)
+                  for j, e in enumerate(map(euler_number, range(n)), 1))
 
 
 def _bpint_lhs(n: int) -> Fraction:
-    # sum_{j<=n} C(n,j) B_j / (n-j+1) as one integer over the lcm of the
-    # denominators (n-j+1) B_j.denominator
-    terms = [(binom_int(n, j) * b.numerator, (n - j + 1) * b.denominator)
-             for j, b in enumerate(map(bernoulli, range(n + 1)))]
-    d = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (d // den) for num, den in terms), d)
+    # sum_{j<=n} C(n,j) B_j / (n-j+1)
+    return ratsum((binom_int(n, j) * b.numerator, (n - j + 1) * b.denominator)
+                  for j, b in enumerate(map(bernoulli, range(n + 1))))
 
 
 def _hockey_lhs(n: int, j: int) -> Fraction:

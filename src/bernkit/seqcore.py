@@ -1,5 +1,6 @@
 """Exact base sequences: Stirling numbers of both kinds, harmonic numbers,
-factorials and binomial coefficients, and the Stirling transform.
+factorials and binomial coefficients, the Stirling transform, and `ratsum`,
+the one exact sum of integer fractions num/den.
 
 All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
@@ -19,7 +20,7 @@ import copy
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 from weakref import WeakKeyDictionary
 
 _T = TypeVar("_T", bound=list | dict | WeakKeyDictionary)
@@ -101,6 +102,23 @@ def stirling2_transform(n: int, weight: Callable[[int], Fraction | int]
             d = column[0] = d * grow
         ints.append(w.numerator * (d // w.denominator))
     return Fraction(sum(map(mul, _S2[n][1:], ints)), d)
+
+
+def ratsum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of num/den over the integer pairs (num, den) of
+    `terms` (Fraction(0) for none), summed in integers over the lcm of the
+    dens and normalised once (Knuth, TAOCP Vol. 2, section 4.5.1). The lcm
+    d grows as the pairs are read: a den that does not divide d rescales
+    the running sum once, as a Stirling transform column is rescaled. A
+    zero den raises ZeroDivisionError."""
+    total, d = 0, 1
+    for num, den in terms:
+        if d % den:
+            grow = den // math.gcd(d, den)
+            total *= grow
+            d *= grow
+        total += num * (d // den)
+    return Fraction(total, d)
 
 
 def stirling1(n: int, k: int) -> int:

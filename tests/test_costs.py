@@ -67,6 +67,15 @@ ROWS = {
         lambda n: verify_all(SweepBounds(n_max=n)), (20, 45),
         lambda n: {"seqcore.stirling1": n * n + 2 * n, "_S1": n + 1,
                    "_S2": n + 2}),
+    # each Stirling transform weight is read once per k, into the column
+    # that the transform keeps for it, however many ids and cases read it
+    "transform-weights": (
+        lambda n: verify_all(SweepBounds(n_max=n)), (20, 45),
+        lambda n: {f"{layer}.{name}": n for layer, name in (
+            ("classical", "_worpitzky_weight"), ("identities", "_h1_weight"),
+            ("identities", "_h2_weight"), ("identities", "_k3_weight"),
+            ("identities", "_hsq_weight"),
+            ("identities", "_cauchy_h_weight"))}),
     # AGOH and AGOH_ALT read one memoised Agoh sum per (n, m)
     "agoh-sum": (
         lambda nm: verify_all(SweepBounds(n_max=nm[0], m_max=nm[1])),

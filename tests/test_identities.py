@@ -143,13 +143,23 @@ class TestSweeps:
         assert [f["params"] for f in report.failures] == expected
 
     def test_j_min_past_n_max_gives_no_case(self):
+        # an empty domain is not a pass
         bounds = SweepBounds(n_max=5, j_min=6)
         empty = ("MAIN", "GEN_WORPITZKY", "HOCKEY", "REDUCTION")
         for id in empty:
             report = verify_identity(id, bounds)
             assert (report.cases, report.failures) == (0, []), id
+            assert not report.passed, id
         reports = verify_all(bounds)
         assert [r.id for r in reports if not r.cases] == list(empty)
+        assert [r.id for r in reports if not r.passed] == list(empty)
+        for id, bounds in (("MAIN", SweepBounds(n_max=0)),
+                           ("POLYX", SweepBounds(rand_count=0))):
+            report = verify_identity(id, bounds)
+            assert report.cases == 0 and not report.passed, id
+        # C4 holds from p = 5 on, so p <= 3 gives it no case
+        report = prime_sweep(("C4",), p_max=3)
+        assert report.cases == 0 and not report.passed
 
     def test_records_are_values(self):
         with pytest.raises(AttributeError):
@@ -213,18 +223,18 @@ def _sides_reached(entry):
     """The code objects of the bernkit functions that the left and the
     right side of `entry` reach over all cases at small bounds: every
     function of classical, fps (Egf's methods included), polybern and
-    identities, and of seqcore only the shared sum `stirling2_transform`,
-    not the table lookups. Each side starts from emptied memo tables, so
-    that the routes behind the tables are reached too whichever tests ran
-    first. Any previous profiler is put back afterwards."""
+    identities, and of seqcore only the shared sums `stirling2_transform`
+    and `ratsum`, not the table lookups. Each side starts from emptied memo
+    tables, so that the routes behind the tables are reached too whichever
+    tests ran first. Any previous profiler is put back afterwards."""
     cases = list(entry.cases(SweepBounds(n_max=6, m_max=3, rand_count=2)))
-    kept = seqcore.stirling2_transform.__code__
+    kept = {seqcore.stirling2_transform.__code__, seqcore.ratsum.__code__}
     sides = []
 
     def profile(frame, event, arg):
         module = frame.f_globals.get("__name__", "")
         if (event == "call" and module.startswith("bernkit.")
-                and (module != "bernkit.seqcore" or frame.f_code is kept)):
+                and (module != "bernkit.seqcore" or frame.f_code in kept)):
             sides[-1].add(frame.f_code)
 
     previous = sys.getprofile()

@@ -308,6 +308,31 @@ class TestStirling2Transform:
         assert list(seqcore._TRANSFORM_COLUMNS) == [kept]
 
 
+class TestRatsum:
+    # dens drawn from the divisors of 720 share factors often, so the
+    # running lcm both grows and is reused
+    @given(st.lists(st.tuples(
+        st.integers(-10**30, 10**30),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 45, 720])
+        | st.integers(-10**6, 10**6).filter(bool))))
+    @example([])  # Fraction(0)
+    @example([(-1, 6), (1, 4), (-1, 12)])
+    @example([(3, -4), (1, 6)])
+    def test_matches_fraction_fold(self, terms):
+        got = seqcore.ratsum(iter(terms))
+        want = sum((Fraction(num, den) for num, den in terms), Fraction(0))
+        assert type(got) is Fraction and got == want
+        # in lowest terms, with a positive denominator
+        assert got.denominator > 0
+        assert math.gcd(got.numerator, got.denominator) == 1
+
+    @pytest.mark.parametrize("terms", [[(1, 0)], [(1, 2), (3, 0)],
+                                       [(0, 0), (1, 3)]])
+    def test_zero_den_raises(self, terms):
+        with pytest.raises(ZeroDivisionError):
+            seqcore.ratsum(terms)
+
+
 def test_hockey_stick():
     for n in range(1, 41):
         for j in range(1, n + 1):
