@@ -30,8 +30,6 @@ _CAUCHY1: list[Fraction] = memo([Fraction(1)])
 # T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
 # integer since j + 1 divides L; the last entry is T_k = L / (k+1)
 _CAUCHY1_ROW: list[int] = memo([1])
-# x = a/b -> [F_0, F_1, ...], F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b)
-_HW_FALLING: dict[Fraction, list[int]] = memo({})
 
 
 def bernoulli(n: int) -> Fraction:
@@ -176,21 +174,18 @@ def hw(n: int, x) -> Fraction:
     """Harmonic-weighted Stirling transform sum_k {n,k} binom(x,k) k! H_k.
 
     With x = a/b, F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b) and
-    d H_k, d = lcm(1..n), are integers. The F_k are kept per x and grow by
-    appending, each new one read once from binom(x, k); d H_k is carried
-    as the running sum of d // k. Row n of S2 is read once per call, after
-    one stirling2 call fills the triangle to it. The sum over b^n d is one
-    Horner pass in b, total <- total b + {n,k} F_k d H_k, normalised
-    once."""
+    d H_k, d = lcm(1..n), are integers. The F_k are read from binom's
+    falling row for x, `seqcore._FALLING[x]`, after one binom(x, n) call
+    grows it to F_n; d H_k is carried as the running sum of d // k. Row n
+    of S2 is read once per call, after one stirling2 call fills the
+    triangle to it. The sum over b^n d is one Horner pass in b,
+    total <- total b + {n,k} F_k d H_k, normalised once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
     x = Fraction(x)
     b = x.denominator
-    falling = _HW_FALLING.setdefault(x, [1])
-    while len(falling) <= n:
-        k = len(falling)
-        c = binom(x, k)
-        falling.append(c.numerator * (factorial(k) * b**k // c.denominator))
+    binom(x, n)  # grows the falling row for x to F_n
+    falling = seqcore._FALLING[x]
     stirling2(n, 0)  # fills the S2 triangle to row n
     row = seqcore._S2[n]
     d = math.lcm(*range(1, n + 1))

@@ -6,7 +6,9 @@ All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
 write-once, so repeated queries are cheap and results never change. The
 tables are for single-threaded use: growing them is not locked. Each
-Stirling triangle grows alone, by its own kind's next-row step. The
+Stirling triangle grows alone, by its own kind's next-row step, and
+`binom` keeps one falling-product row per rational x, grown by one integer
+multiplication per new k, which `classical.hw` reads too. The
 Stirling transform keeps one integer column per weight, the one table here
 whose entries change: it is rescaled when its common denominator grows,
 and it is keyed weakly, so a column dies with its weight.
@@ -47,6 +49,8 @@ _S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
 _FACT: list[int] = memo([1])
 _H: list[Fraction] = memo([Fraction(0)])
 _HM: dict[int, list[Fraction]] = memo({})  # m >= 2 -> [H_0^(m), H_1^(m), ...]
+# x = a/b -> [F_0, F_1, ...], F_k = k! b^k binom(x,k) = prod_{i<k} (a - i b)
+_FALLING: dict[Fraction, list[int]] = memo({})
 # weight -> [d, [d weight(k) for k = 1, 2, ...]], d the lcm of the
 # denominators of the weights read so far
 _TRANSFORM_COLUMNS: WeakKeyDictionary[Callable, list] = memo(
@@ -165,16 +169,19 @@ def harmonic_gen(n: int, m: int) -> Fraction:
 def binom(x: Fraction | int, k: int) -> Fraction:
     """Binomial coefficient x(x-1)...(x-k+1)/k! for rational x.
 
-    With x = a/b this is prod_{i<k} (a - i*b) / (b^k k!): the numerator is one
-    integer product, so the Fraction is normalised once."""
+    With x = a/b this is F_k / (b^k k!), F_k = prod_{i<k} (a - i*b). The
+    integers F_0, F_1, ... are kept per x in `_FALLING[x]` and grow by
+    appending, F_j = F_(j-1) (a - (j-1) b), so a caller that walks k upward
+    pays one integer multiplication per new k; the Fraction is normalised
+    once per call."""
     if k < 0:
         raise ValueError("binom requires k >= 0")
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    num = 1
-    for i in range(k):
-        num *= a - i * b
-    return Fraction(num, b**k * factorial(k))
+    falling = _FALLING.setdefault(x, [1])
+    while len(falling) <= k:
+        falling.append(falling[-1] * (a - (len(falling) - 1) * b))
+    return Fraction(falling[k], b**k * factorial(k))
 
 
 def binom_int(n: int, k: int) -> int:

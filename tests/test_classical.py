@@ -13,8 +13,8 @@ from bernkit.classical import (bernoulli, bernoulli_poly, bernoulli_poly_at,
 from bernkit.congr import odd_primes_upto, prime_sweep
 from bernkit.fps import Egf
 from bernkit.identities import SweepBounds, verify_identity
-from bernkit.seqcore import (binom, binom_int, clear_memos, factorial,
-                             harmonic, stirling2_transform)
+from bernkit.seqcore import (binom_int, clear_memos, harmonic,
+                             stirling2_transform)
 
 
 class TestBernoulli:
@@ -235,29 +235,33 @@ class TestHw:
     @example(n_max=40, a=-13, b=1, descending=True)
     @example(n_max=40, a=-17, b=7, descending=False)
     def test_matches_fraction_transform(self, n_max, a, b, descending):
-        # reference: the Stirling transform of binom(x,k) k! H_k, one
-        # normalised Fraction per term. Each walk starts cold, is repeated
-        # on the warm row with another x's row grown in between, and runs
-        # again after clear_memos; compute walks n downward.
+        # reference: the Stirling transform of k! binom(x,k) H_k, with
+        # k! binom(x,k) = x(x-1)...(x-k+1) multiplied out in Fractions, apart
+        # from binom's falling row. Each walk starts cold, is repeated on the
+        # warm row with another x's row grown in between, and runs again
+        # after clear_memos; compute walks n downward.
         x = Fraction(a, b)
+        falling = [Fraction(1)]
+        for i in range(n_max):
+            falling.append(falling[-1] * (x - i))
         walk = range(n_max, 0, -1) if descending else range(1, n_max + 1)
-        want = [stirling2_transform(
-            n, lambda k: binom(x, k) * factorial(k) * harmonic(k))
-            for n in walk]
+        want = [stirling2_transform(n, lambda k: falling[k] * harmonic(k))
+                for n in walk]
         for _ in range(2):
             clear_memos()
             assert [hw(n, x) for n in walk] == want
             hw(n_max + 3, x + 1)
             assert [hw(n, x) for n in walk] == want
-            assert len(classical._HW_FALLING[x]) == n_max + 1
+            assert len(seqcore._FALLING[x]) == n_max + 1
 
     def test_perturbed_falling_row_is_caught(self, cold):
         # F_10 = 10! b^10 binom(x,10) plus 1 at x = -2 fails exactly the
-        # POLYX cases with that x and n >= 10; its case at n = 8 reads
-        # F_1..F_8 only, and the row past F_10 grows from binom, not from F_10
+        # POLYX cases with that x and n >= 10, which read F_10 and the
+        # entries that binom grows from it; its case at n = 8 reads F_1..F_8
+        # only
         x = Fraction(-2)
         hw(10, x)
-        classical._HW_FALLING[x][10] += 1
+        seqcore._FALLING[x][10] += 1
         report = verify_identity("POLYX", SweepBounds(n_max=16))
         assert [(f["params"]["n"], f["params"]["x"])
                 for f in report.failures] == [(n, x) for n in range(10, 14)]

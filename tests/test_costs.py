@@ -54,9 +54,9 @@ def congruence_tables(p_max):
 # "module.name" counts the calls of that function, any other key is the
 # length of that memo table when the run ends
 ROWS = {
-    # hw reads binom(x, k) once per new k of its falling row for x, and the
-    # dump fills that row once, at n = N; each hw(n, x), n = 1..N, makes one
-    # stirling2 call that fills S2 to row n, then reads the row
+    # each hw(n, x), n = 1..N, makes one binom(x, n) call that grows binom's
+    # falling row for x to F_n and one stirling2 call that fills S2 to row
+    # n, then reads both rows
     "compute-hw": (
         lambda n: run_cli("compute", "hw", "--n-max", str(n)), (40, 80),
         lambda n: {"seqcore.binom": n, "seqcore.stirling2": n}),
@@ -81,6 +81,11 @@ ROWS = {
         lambda nm: verify_all(SweepBounds(n_max=nm[0], m_max=nm[1])),
         ((20, 6), (45, 20)),
         lambda nm: {"identities._agoh_sum": nm[0] * nm[1]}),
+    # POLYX's right side makes one hw call per case, and hw one binom call;
+    # hw reads no binom(x, k) per k of the falling row
+    "polyx": (
+        lambda n: verify_identity("POLYX", SweepBounds(n_max=n)), (20, 45),
+        lambda n: {"seqcore.binom": n * SweepBounds().rand_count}),
     # HOCKEY's left side walks its terms by a running product, and its
     # right side reads C(n+1, j) once per case 1 <= j <= n <= N
     "hockey": (

@@ -319,9 +319,9 @@ def test_perturbed_bernoulli_is_caught(cold):
     (lambda: identities._calB(11, 1), seqcore._TRANSFORM_COLUMNS,
      (identities._calB_weight(seqcore.harmonic, 1), 1, 3), 16,
      "REDUCTION"),
-    # hw alone reads its falling-product row; x = 16/9 draws POLYX cases at
+    # only hw reads binom's falling row for x = 16/9; it draws POLYX cases at
     # n = 5, 16, 16, and F_6 is read only by the two at n = 16
-    (lambda: classical.hw(10, Fraction(16, 9)), classical._HW_FALLING,
+    (lambda: classical.hw(10, Fraction(16, 9)), seqcore._FALLING,
      (Fraction(16, 9), 6), 16, "POLYX"),
     # n_max = 10: past order 10, CUMSUM's walk rebuilds the (2, x) series
     # and replaces the perturbed list before HSQ_BRIDGE reads it

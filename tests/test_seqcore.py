@@ -6,7 +6,7 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bernkit import classical, identities, polybern, seqcore
 from bernkit.identities import IdentityCase, eval_identity
@@ -133,7 +133,7 @@ def test_every_memo_table_is_registered_and_cleared():
             "_TAN": [],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
             "_EULER_SUM": [1],
-            "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_HW_FALLING": {},
+            "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_FALLING": {},
             "_CALB_ROWS": {}, "_BERN_ROWS": {}, "_AGOH_RHS": {},
             "_CACHE": {}}
     tables = [(name, value)
@@ -407,6 +407,35 @@ class TestBinom:
             for k, want in enumerate(fraction_product(x, 120)):
                 got = binom(x, k)
                 assert type(got) is Fraction and got == want, (x, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(-30, 30), b=st.integers(1, 12),
+           c=st.integers(-30, 30), d=st.integers(1, 12),
+           queries=st.lists(st.tuples(st.booleans(), st.integers(0, 40)),
+                            min_size=1, max_size=16))
+    @example(a=0, b=1, c=3, d=1,
+             queries=[(False, 9), (False, 9), (True, 4), (False, 2),
+                      (True, 12), (False, 0)])
+    @example(a=-7, b=1, c=5, d=3,
+             queries=[(False, k) for k in range(30, -1, -3)]
+             + [(True, 40), (False, 31)])
+    def test_row_is_order_independent(self, a, b, c, d, queries):
+        # binom(x, k) for the k of `queries` in their order, descending,
+        # repeated or interleaved with a second x's row, equals the Fraction
+        # product, from cold and again after clear_memos; each x's falling
+        # row ends at the largest k asked of it
+        xs = [Fraction(a, b), Fraction(c, d)]
+        queries = [(xs[second], k) for second, k in queries]
+        want = [math.prod((x - i for i in range(k)), start=Fraction(1))
+                / math.factorial(k) for x, k in queries]
+        rows = {x: 1 + max(j for y, j in queries if y == x)
+                for x, _ in queries}
+        for _ in range(2):
+            clear_memos()
+            # an integer x is also asked as an int, and shares its row
+            assert [binom(int(x) if x.denominator == 1 else x, k)
+                    for x, k in queries] == want
+            assert {x: len(seqcore._FALLING[x]) for x in rows} == rows
 
     @given(st.integers(min_value=0, max_value=30),
            st.integers(min_value=0, max_value=30))
