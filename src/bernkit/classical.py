@@ -3,17 +3,21 @@ numbers of the first kind, and the harmonic-weighted Stirling transform.
 
 Bernoulli convention is fixed at B_1 = -1/2 throughout. The Euler
 polynomials have one route, the series 2e^{xt}/(e^t+1) in `fps`
-(`named_series("euler-poly-egf", n, x=x)`).
+(`named_series("euler-poly-egf", n, x=x)`). The Euler numbers come from
+Seidel's boustrophedon, by additions only: a third route to the tangent
+numbers, independent of Brent & Harvey's, which `bernoulli` runs, and of
+the series route.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from . import seqcore
 from .fps import Egf
-from .seqcore import (binom, binom_int, factorial, memo, ratsum, stirling2,
+from .seqcore import (binom, binom_int, factorial, memo, ratsum,
                       stirling2_transform)
 
 
@@ -25,6 +29,9 @@ _TAN: list[int] = memo([])
 _BERN_SUM: list[Fraction] = memo([Fraction(1)])  # sum_{j<=n} B_j
 _BERN_RECIP: dict[int, Fraction] = memo({})  # n -> sum_{j<=n} B_j/(n-j+1)
 _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
+# row len(_EULER2) - 1 of the Seidel-Entringer-Arnold triangle, whose last
+# entry is the zigzag number A_n
+_SEIDEL: list[int] = memo([1])
 _EULER_SUM: list[int] = memo([1])  # sum_{j<=n} e_j 2^(n-j) = 2^n sum E_j(0)
 _CAUCHY1: list[Fraction] = memo([Fraction(1)])
 # T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
@@ -100,21 +107,24 @@ def bernoulli_poly_at(n: int, x) -> Fraction:
 
 
 def euler_number(n: int) -> Fraction:
-    """E_n = E_n(0), from the integers e_n = 2^n E_n(0): e_0 = 1 and
-    e_n = -sum_{j<n} C(n,j) 2^(n-1-j) e_j, which is the recurrence
-    E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x) at x = 0, scaled by 2^n.
-    O(n) integer operations per new n. It shares no code with the series
-    route named_series("euler-poly-egf", n, x=0), which checks it."""
+    """E_n = E_n(0), from the integers e_n = 2^n E_n(0): e_0 = 1, e_n = 0 at
+    even n >= 2, and e_(2k-1) = (-1)^k A_(2k-1), where the zigzag number
+    A_(2k-1) is the tangent number T_k. Seidel's boustrophedon carries one
+    working row of the Seidel-Entringer-Arnold triangle from n - 1 to n as
+    the running sums of the reversed row, starting from 0; its last entry
+    is A_n (Millar, Sloane & Young, "A new operation on sequences: the
+    boustrophedon transform", J. Combin. Theory Ser. A 76, 1996). O(n)
+    integer additions per new n and no multiplication. It shares no code
+    with Brent & Harvey's tangent-number recurrence in `bernoulli`, nor
+    with the series route named_series("euler-poly-egf", n, x=0); both
+    check it."""
     if n < 0:
         raise ValueError("euler_number requires n >= 0")
     while len(_EULER2) <= n:
         m = len(_EULER2)
-        s, c = 0, 1  # c = C(m, j)
-        for j, e in enumerate(_EULER2):
-            if e:
-                s += (c * e) << (m - 1 - j)
-            c = c * (m - j) // (j + 1)
-        _EULER2.append(-s)
+        # a list's slice assignment reads the whole iterator first
+        _SEIDEL[:] = accumulate(reversed(_SEIDEL), initial=0)
+        _EULER2.append((-1) ** ((m + 1) // 2) * _SEIDEL[-1] if m % 2 else 0)
     return Fraction(_EULER2[n], 1 << n)
 
 
@@ -177,8 +187,8 @@ def hw(n: int, x) -> Fraction:
     d H_k, d = lcm(1..n), are integers. The F_k are read from binom's
     falling row for x, `seqcore._FALLING[x]`, after one binom(x, n) call
     grows it to F_n; d H_k is carried as the running sum of d // k. Row n
-    of S2 is read once per call, after one stirling2 call fills the
-    triangle to it. The sum over b^n d is one Horner pass in b,
+    of S2 is read once per call, through `seqcore._stirling2_row`. The sum
+    over b^n d is one Horner pass in b,
     total <- total b + {n,k} F_k d H_k, normalised once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
@@ -186,8 +196,7 @@ def hw(n: int, x) -> Fraction:
     b = x.denominator
     binom(x, n)  # grows the falling row for x to F_n
     falling = seqcore._FALLING[x]
-    stirling2(n, 0)  # fills the S2 triangle to row n
-    row = seqcore._S2[n]
+    row = seqcore._stirling2_row(n)
     d = math.lcm(*range(1, n + 1))
     total = dh = 0  # dh = d H_k
     for k in range(1, n + 1):

@@ -53,9 +53,9 @@ def rational_mod(r, modulus: int, p: int) -> Residue:
     ill-posed."""
     if modulus not in (p, p * p):
         raise ValueError("modulus must be p or p^2")
-    if isinstance(r, int):  # denominator 1, which p never divides
-        return Residue(r % modulus, modulus)
     if not isinstance(r, Fraction):
+        if isinstance(r, int):  # denominator 1, which p never divides
+            return Residue(r % modulus, modulus)
         r = Fraction(r)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(
@@ -87,8 +87,12 @@ def _c1sq(p: int) -> list[tuple]:
 
 
 def _vsc(p: int) -> list[tuple]:
-    return [(p * bernoulli(2 * j), -1 if (2 * j) % (p - 1) == 0 else 0, p,
-             f"j={j}") for j in range(1, p + 1)]
+    statements = []
+    for j in range(1, p + 1):
+        b = bernoulli(2 * j)
+        statements.append((Fraction(p * b.numerator, b.denominator),  # p B_2j
+                           -1 if (2 * j) % (p - 1) == 0 else 0, p, f"j={j}"))
+    return statements
 
 
 CATALOG: dict[str, CongruenceEntry] = {
@@ -115,7 +119,9 @@ CONGRUENCE_IDS = tuple(CATALOG)
 
 def check_congruence(id: str, p: int) -> list[CongruenceResult]:
     """Evaluate one catalog entry at an odd prime; multi-statement entries
-    (C1SQ, VSC, CP1, STIRP) yield one result per statement."""
+    (C1SQ, VSC, CP1, STIRP) yield one result per statement. Each distinct
+    (rhs, modulus) is reduced once per call: VSC's p statements have two
+    right sides, STIRP's p - 2 one."""
     if id not in CATALOG:
         raise KeyError(f"unknown congruence id {id!r}")
     entry = CATALOG[id]
@@ -123,10 +129,12 @@ def check_congruence(id: str, p: int) -> list[CongruenceResult]:
         raise ValueError("p must be an odd prime")
     if p < entry.min_p:
         raise ValueError(f"{id} requires p >= {entry.min_p}")
-    results = []
+    results, reduced = [], {}
     for lhs, rhs, modulus, label in entry.statements(p):
         lr = rational_mod(lhs, modulus, p)
-        rr = rational_mod(rhs, modulus, p)
+        rr = reduced.get((rhs, modulus))
+        if rr is None:
+            rr = reduced[rhs, modulus] = rational_mod(rhs, modulus, p)
         results.append(CongruenceResult(id, p, label, lr, rr, lr == rr))
     return results
 

@@ -6,14 +6,21 @@ All rational values are `fractions.Fraction` instances in lowest terms.
 Tables are module-level lists filled row by row on demand, and entries are
 write-once, so repeated queries are cheap and results never change. The
 tables are for single-threaded use: growing them is not locked. Each
-Stirling triangle grows alone, by its own kind's next-row step, and
-`binom` keeps one falling-product row per rational x, grown by one integer
-multiplication per new k, which `classical.hw` reads too. The
-Stirling transform keeps one integer column per weight, the one table here
-whose entries change: it is rescaled when its common denominator grows,
-and it is keyed weakly, so a column dies with its weight.
-Every memo table of the package is declared through `memo`; `clear_memos`
-resets all.
+Stirling triangle grows alone, by its own kind's next-row step. The S2
+triangle is bounded: it keeps rows 0..S2_ROWS whole, and past them one
+working row, stepped up to the row asked for. A request below the working
+row but past S2_ROWS restarts it from row S2_ROWS, so a descending walk
+past S2_ROWS pays for a restart per row; an ascending one, such as the
+prime congruences', makes one pass. In `verify all` past n = S2_ROWS,
+each id that reads S2 restarts at most once, and REDUCTION's right side
+once per j. `classical.hw` and the Stirling transform read a row through
+`_stirling2_row`. `binom` keeps one falling-product row per rational x,
+grown by one integer multiplication per new k, which `classical.hw` reads
+too. The Stirling transform keeps one integer column per weight, the one
+table here whose entries change: it is rescaled when its common
+denominator grows, and it is keyed weakly, so a column dies with its
+weight. Every memo table of the package is declared through `memo`;
+`clear_memos` resets all.
 """
 
 from __future__ import annotations
@@ -44,7 +51,10 @@ def clear_memos() -> None:
         fill(copy.deepcopy(cold))
 
 
-_S2: list[list[int]] = memo([[1]])  # _S2[n][k] = {n,k}
+S2_ROWS = 512  # rows of S2 kept whole
+_S2: list[list[int]] = memo([[1]])  # _S2[n][k] = {n,k}, n <= S2_ROWS
+# [row n of S2] for the last n > S2_ROWS asked, or [] before any
+_S2_TOP: list[list[int]] = memo([])
 _S1: list[list[int]] = memo([[1]])  # _S1[n][k] = [n,k]
 _FACT: list[int] = memo([1])
 _H: list[Fraction] = memo([Fraction(0)])
@@ -74,9 +84,25 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 requires n, k >= 0")
     if k > n:
         return 0
-    while len(_S2) <= n:
+    if n < len(_S2):
+        return _S2[n][k]
+    while len(_S2) <= min(n, S2_ROWS):
         _S2.append(next_stirling2_row(_S2[-1]))
-    return _S2[n][k]
+    if n <= S2_ROWS:
+        return _S2[n][k]
+    if not _S2_TOP or len(_S2_TOP[0]) > n + 1:  # restart from row S2_ROWS
+        _S2_TOP[:] = [_S2[S2_ROWS]]
+    while len(_S2_TOP[0]) <= n:
+        _S2_TOP[0] = next_stirling2_row(_S2_TOP[0])
+    return _S2_TOP[0][k]
+
+
+def _stirling2_row(n: int) -> list[int]:
+    """Row n of S2, [{n,0}, ..., {n,n}], after one stirling2 call fills
+    the triangle, or steps the working row, to it. The row is shared: read
+    it, do not change it."""
+    stirling2(n, 0)
+    return _S2[n] if n < len(_S2) else _S2_TOP[0]
 
 
 def stirling2_transform(n: int, weight: Callable[[int], Fraction | int]
@@ -95,7 +121,7 @@ def stirling2_transform(n: int, weight: Callable[[int], Fraction | int]
     product of the column with row n of S2, normalised once."""
     if n == 0:  # row 0, whose one nonzero is {0,0}
         return Fraction(weight(0))
-    stirling2(n, 0)
+    row = _stirling2_row(n)
     column = _TRANSFORM_COLUMNS.setdefault(weight, [1, []])
     d, ints = column
     while len(ints) < n:
@@ -105,7 +131,7 @@ def stirling2_transform(n: int, weight: Callable[[int], Fraction | int]
             ints[:] = [grow * v for v in ints]
             d = column[0] = d * grow
         ints.append(w.numerator * (d // w.denominator))
-    return Fraction(sum(map(mul, _S2[n][1:], ints)), d)
+    return Fraction(sum(map(mul, row[1:], ints)), d)
 
 
 def ratsum(terms: Iterable[tuple[int, int]]) -> Fraction:

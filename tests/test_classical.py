@@ -124,7 +124,7 @@ class TestEuler:
         # E_k(1) = -E_k(0) = 2(2^(k+1)-1) B_(k+1)/(k+1); fails at k=0
         # (E_0 is the constant 1), holds from k=1 on (DLMF 24.4). Three
         # independent routes: the series 2e^t/(e^t+1) gives E_k(1),
-        # euler_number the integer recurrence for 2^k E_k(0), bernoulli the
+        # euler_number Seidel's boustrophedon for 2^k E_k(0), bernoulli the
         # tangent numbers.
         at_one = fps.named_series("euler-poly-egf", 40, x=1)
         assert at_one.egf(1) == -euler_number(1) == Fraction(1, 2)
@@ -133,8 +133,8 @@ class TestEuler:
             assert at_one.egf(k) == -euler_number(k) == closed
 
     def test_tangent_numbers_match_bernoulli(self):
-        # euler_number's recurrence and bernoulli's tangent column reach
-        # the tangent numbers by different algorithms
+        # euler_number's boustrophedon and bernoulli's tangent column
+        # (Brent & Harvey) reach the tangent numbers by different algorithms
         assert euler_tangent_mismatches(300) == []
         assert all(euler_number(n) == 0 for n in range(2, 601, 2))
 
@@ -144,8 +144,12 @@ class TestEuler:
         assert euler_tangent_mismatches(30) == list(range(11, 31))
         clear_memos()
         euler_number(20)
-        classical._EULER2[9] += 1  # e_9 and every e_n computed from it
-        assert euler_tangent_mismatches(30) == [5] + list(range(11, 31))
+        classical._EULER2[9] += 1  # e_9 alone: no later e_n reads it
+        assert euler_tangent_mismatches(30) == [5]
+        clear_memos()
+        euler_number(20)
+        classical._SEIDEL[3] += 1  # row 20: every later row is carried from it
+        assert euler_tangent_mismatches(30) == list(range(11, 31))
 
     def test_matches_poly_route(self):
         # the series 2/(e^t+1) by inversion, which reads no classical code

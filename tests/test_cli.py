@@ -370,6 +370,25 @@ def test_stirling2_dump_to_n_1000_stays_small():
     assert hwm_kb < 64 * 1024
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_congruence_all_to_2003_stays_under_256_mb():
+    # STIRP reads row p of S2: the whole triangle to row 2003 peaked at
+    # about 1.7 GB, rows to S2_ROWS and one working row at about 84 MB
+    script = ("import os; from bernkit import cli; "
+              "code = cli.main(['congruence', 'all', '--p-max', '2003', "
+              "'--no-meta', '--out', os.devnull]); "
+              "print(code, *[line.split()[1] for line in "
+              "open('/proc/self/status') if line.startswith('VmHWM:')])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=bernkit_env(), text=True, timeout=600,
+                          check=True)
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert hwm_kb < 256 * 1024
+
+
 def test_python_m_bernkit_runs_the_cli(capsys):
     argv = ["compute", "bernoulli", "--n-max", "3", "--no-meta"]
     proc = subprocess.run([sys.executable, "-m", "bernkit", *argv],

@@ -16,8 +16,10 @@ from bernkit.identities import SweepBounds, verify_all, verify_identity
 MODULES = {module.__name__.rpartition(".")[2]: module
            for module in (seqcore, classical, fps, polybern, identities,
                           congr, cli)}
-TABLES = {"_S1": seqcore, "_S2": seqcore, "_BERN": classical,
-          "_EULER2": classical, "_CAUCHY1": classical}
+TABLES = {"_S1": seqcore, "_S2": seqcore, "_S2_TOP": seqcore,
+          "_BERN": classical, "_BERN_SUM": classical, "_EULER2": classical,
+          "_SEIDEL": classical, "_EULER_SUM": classical,
+          "_CAUCHY1": classical}
 
 
 def count_calls(monkeypatch, qualname):
@@ -44,10 +46,24 @@ def run_cli(*argv):
 
 def congruence_tables(p_max):
     # bernoulli to 2p (VSC), euler_number, cauchy1 and S2 rows to p, for the
-    # largest prime p <= p_max
-    p = odd_primes_upto(p_max)[-1]
+    # largest prime p <= p_max; the running sums of B_j and e_j end at n = p
+    # and Seidel's working row at row p. Each statement's left side is
+    # reduced, and each distinct right side once per id and prime: 13 per
+    # prime, two fewer at p = 3 (C4 skipped, VSC's one right side)
+    primes = odd_primes_upto(p_max)
+    p = primes[-1]
+    statements = sum(2 * q + 9 for q in primes) - 1
     return {"_BERN": 2 * p + 1, "_EULER2": p + 1, "_CAUCHY1": p + 1,
-            "_S2": p + 1}
+            "_S2": p + 1, "_BERN_SUM": p + 1, "_EULER_SUM": p + 1,
+            "_SEIDEL": p + 1,
+            "congr.rational_mod": statements + 13 * len(primes) - 2}
+
+
+def stirp_tables(p_max):
+    # S2 keeps rows 0..S2_ROWS whole, and one working row past them
+    p = odd_primes_upto(p_max)[-1]
+    return {"_S2": min(p, seqcore.S2_ROWS) + 1,
+            "_S2_TOP": int(p > seqcore.S2_ROWS)}
 
 
 # name: (run at a bound, two bounds, expected counts at that bound); a key
@@ -94,6 +110,11 @@ ROWS = {
     "congruence-all": (
         lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
         (31, 151), congruence_tables),
+    # STIRP reads {p,k} for the primes in ascending order, and so steps one
+    # working row up past S2_ROWS
+    "stirp": (
+        lambda p_max: run_cli("congruence", "STIRP", "--p-max", str(p_max)),
+        (151, 601), stirp_tables),
 }
 
 

@@ -304,6 +304,9 @@ def test_perturbed_bernoulli_is_caught(cold):
      "WORPITZKY H1 H2 K3SPECIAL CUMSUM EQ14 HSQ_BRIDGE STIRL20 C1SQ GLAISHER"),
     (lambda: classical.euler_number(9), classical._EULER2, (9,), 16,
      "REC16_EULER C2"),
+    # Seidel's working row, at row 9: every later e_n is carried from it
+    (lambda: classical.euler_number(9), classical._SEIDEL, (4,), 16,
+     "REC16_EULER C2"),
     # every later prefix sum is carried from the wrong one; C1 reads
     # p * (sum + 1), which is unchanged mod p, so only C1SQ's mod-p^2
     # statement catches it at p = 11
@@ -336,18 +339,35 @@ def test_perturbed_bernoulli_is_caught(cold):
      (classical._worpitzky_weight, 1, 3), 16, "WORPITZKY CUMSUM EQ14"),
     (lambda: identities._hsq_sum(11), seqcore._TRANSFORM_COLUMNS,
      (identities._hsq_weight, 1, 3), 16, "EQ14 HSQ_BRIDGE"),
-], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "BERN_SUM", "EULER_SUM",
-        "BERN_RECIP", "TRANSFORM_CALB", "HW_FALLING", "polybern-x0",
-        "polybern-x1", "TRANSFORM_WORPITZKY", "TRANSFORM_HSQ"])
+], ids=["S2", "S1", "H", "HM", "FACT", "EULER2", "SEIDEL", "BERN_SUM",
+        "EULER_SUM", "BERN_RECIP", "TRANSFORM_CALB", "HW_FALLING",
+        "polybern-x0", "polybern-x1", "TRANSFORM_WORPITZKY",
+        "TRANSFORM_HSQ"])
 def test_perturbed_table_is_caught(cold, fill, table, path, n_max, killed):
     fill()
     for key in path[:-1]:
         table = table[key]
     table[path[-1]] += 1
+    assert failing_ids(n_max) == set(killed.split())
+
+
+def failing_ids(n_max):
+    """The ids of both catalogs that fail at the kill matrix's bounds."""
     reports = [*verify_all(SweepBounds(n_max=n_max, m_max=6, rand_count=3)),
                prime_sweep(p_max=31)]
-    assert {f["id"] for r in reports for f in r.failures} == set(
-        killed.split())
+    return {f["id"] for r in reports for f in r.failures}
+
+
+def test_perturbed_s2_working_row_is_caught(cold, monkeypatch):
+    # with S2_ROWS = 8 the small sweep reads S2 past the kept rows. A
+    # restart rebuilds the working row from row 8, so a wrong {9,4} lives
+    # until the first request below the working row: MAIN, the first id to
+    # read S2, walks up from it, and POLYX_COEFFS and REDUCTION read
+    # MAIN's _calB rows
+    monkeypatch.setattr(seqcore, "S2_ROWS", 8)
+    seqcore.stirling2(9, 0)
+    seqcore._S2_TOP[0][4] += 1
+    assert failing_ids(16) == {"MAIN", "POLYX_COEFFS", "REDUCTION"}
 
 
 def test_calB_columns_stay_bounded(cold):

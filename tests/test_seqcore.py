@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -126,13 +127,73 @@ def test_each_triangle_grows_alone(cold):
     assert (len(seqcore._S1), len(seqcore._S2)) == (31, 41)
 
 
+@functools.cache
+def plain_stirling2_rows(n_max):
+    """Rows 0..n_max of S2 by {n,k} = k {n-1,k} + {n-1,k-1}, written out
+    apart from seqcore's row step."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(kept=st.integers(0, 6),
+       queries=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                        min_size=1, max_size=12))
+@example(kept=4, queries=[(n, 2) for n in range(5, 21)])
+@example(kept=4, queries=[(n, 2) for n in range(20, 4, -1)])
+@example(kept=4, queries=[(12, 3), (6, 2), (15, 15), (7, 1), (15, 4),
+                          (24, 9), (5, 5), (13, 20)])
+def test_rows_past_the_kept_ones_match_the_plain_recurrence(kept, queries):
+    # S2_ROWS is read at call time, so a small one runs the same code as
+    # the real one: rows past it, asked ascending, descending, repeated or
+    # interleaved, from cold and again after clear_memos, are the plain
+    # recurrence's; the triangle keeps rows 0..S2_ROWS and one working
+    # row, the last one asked past S2_ROWS
+    rows = plain_stirling2_rows(24)
+    top = [n for n, _ in queries if n > kept]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqcore, "S2_ROWS", kept)
+        for _ in range(2):
+            clear_memos()
+            for n, k in queries:
+                assert stirling2(n, k) == (rows[n][k] if k <= n else 0)
+                assert seqcore._stirling2_row(n) == rows[n]
+            assert len(seqcore._S2) == min(max(n for n, _ in queries),
+                                           kept) + 1
+            assert seqcore._S2_TOP == ([rows[top[-1]]] if top else [])
+    clear_memos()
+
+
+def reciprocal(k):
+    return Fraction(1, k + 1)
+
+
+def test_hw_and_transform_read_rows_past_the_kept_ones(cold):
+    n = seqcore.S2_ROWS + 3
+    row = plain_stirling2_rows(n)[n]
+    x = Fraction(-3, 5)
+    want, falling, h = Fraction(0), Fraction(1), Fraction(0)
+    for k in range(1, n + 1):  # falling = k! binom(x, k), h = H_k
+        falling *= x - k + 1
+        h += Fraction(1, k)
+        want += row[k] * falling * h
+    assert classical.hw(n, x) == want
+    assert len(seqcore._S2) == seqcore.S2_ROWS + 1
+    assert stirling2_transform(n, reciprocal) == sum(
+        (Fraction(v, k + 1) for k, v in enumerate(row)), Fraction(0))
+
+
 def test_every_memo_table_is_registered_and_cleared():
     # each table's contents at import, written out independently of memo
-    cold = {"_S2": [[1]], "_S1": [[1]], "_FACT": [1], "_H": [Fraction(0)],
+    cold = {"_S2": [[1]], "_S2_TOP": [], "_S1": [[1]], "_FACT": [1],
+            "_H": [Fraction(0)],
             "_HM": {}, "_TRANSFORM_COLUMNS": {}, "_BERN": [Fraction(1)],
             "_TAN": [],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
-            "_EULER_SUM": [1],
+            "_SEIDEL": [1], "_EULER_SUM": [1],
             "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_FALLING": {},
             "_CALB_ROWS": {}, "_BERN_ROWS": {}, "_AGOH_RHS": {},
             "_CACHE": {}}
@@ -154,7 +215,7 @@ def test_every_memo_table_is_registered_and_cleared():
     classical.hw(12, Fraction(-3, 5))
     classical.worpitzky_bernoulli(12)
     stirling1(30, 0)
-    stirling2(30, 0)
+    stirling2(seqcore.S2_ROWS + 1, 0)  # past the kept rows: the working row
     harmonic_gen(30, 3)
     eval_identity(IdentityCase("MAIN", {"n": 12, "j": 5}))
     eval_identity(IdentityCase("AGOH", {"n": 12, "m": 3}))
