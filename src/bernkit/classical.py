@@ -6,7 +6,9 @@ polynomials have one route, the series 2e^{xt}/(e^t+1) in `fps`
 (`named_series("euler-poly-egf", n, x=x)`). The Euler numbers come from
 Seidel's boustrophedon, by additions only: a third route to the tangent
 numbers, independent of Brent & Harvey's, which `bernoulli` runs, and of
-the series route.
+the series route. The Cauchy numbers c_k = int_0^1 (x)_k dx step one
+anti-diagonal of the moments int_0^1 x^r (x)_m dx, by small-integer products
+and additions, and read no Stirling triangle.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
 _SEIDEL: list[int] = memo([1])
 _EULER_SUM: list[int] = memo([1])  # sum_{j<=n} e_j 2^(n-j) = 2^n sum E_j(0)
 _CAUCHY1: list[Fraction] = memo([Fraction(1)])
-# T_j = L [k,j] / (j+1) for k = len(_CAUCHY1) - 1 and L = lcm(1..k+1), an
-# integer since j + 1 divides L; the last entry is T_k = L / (k+1)
+# the anti-diagonal D_m = L I_(k-m)(m), m = 0..k, of the moments
+# I_r(m) = int_0^1 x^r (x)_m dx, for k = len(_CAUCHY1) - 1 and
+# L = lcm(1..k+1): integers, since I_r(m) is a sum of integers over j + r + 1
+# <= k + 1. The first entry is D_0 = L / (k+1), the last D_k = L c_k
 _CAUCHY1_ROW: list[int] = memo([1])
 
 
@@ -141,37 +145,37 @@ def euler_sum(n: int) -> Fraction:
 
 
 def cauchy1(k: int) -> Fraction:
-    """Cauchy number of the first kind via the signed Stirling sum
-    c_k = sum_{j<=k} (-1)^(k-j) [k,j] / (j+1), memoised.
+    """Cauchy number of the first kind c_k = int_0^1 (x)_k dx, with
+    (x)_k = x(x-1)...(x-k+1), memoised (Merlini, Sprugnoli & Verri, "The
+    Cauchy numbers", Discrete Math. 306, 2006).
 
-    One scaled working row T_j = L [m,j] / (j+1), with L = lcm(1..m+1), is
-    carried from m - 1 to m by the first-kind step
-    [m,j] = (m-1) [m-1,j] + [m-1,j-1], which becomes
-    T_j <- (m-1) T_j + j T_(j-1) / (j+1), an exact division since j + 1
-    divides L. When m + 1 is a power of the prime q, L grows by q and the
-    row is multiplied by q first. Then c_m = sum_j (-1)^(m-j) T_j / L:
-    small-integer products and exact divisions only, and one Fraction per
-    new m (Merlini, Sprugnoli & Verri, "The Cauchy numbers", Discrete
-    Math. 306, 2006)."""
+    The moments I_r(m) = int_0^1 x^r (x)_m dx obey
+    I_r(m) = I_(r+1)(m-1) - (m-1) I_r(m-1), with I_r(0) = 1/(r+1) and
+    c_m = I_0(m). One anti-diagonal D_m = L I_(n-1-m)(m), m < n, scaled by
+    L = lcm(1..n), steps to the next as D'_0 = L'/(n+1) and
+    D'_m = D'_(m-1) - (m-1) D_(m-1); when n + 1 is a power of the prime q,
+    L' = q L and the old entries are multiplied by q first. Then
+    c_n = D'_n / L': small-integer products and additions only, one
+    division and one Fraction per new n."""
     if k < 0:
         raise ValueError("cauchy1 requires k >= 0")
     while len(_CAUCHY1) <= k:
-        m, row = len(_CAUCHY1), _CAUCHY1_ROW
-        q = (m + 1) // math.gcd(m * row[-1], m + 1)  # m * T_(m-1) = old L
+        n, row = len(_CAUCHY1), _CAUCHY1_ROW
+        lcm = n * row[0]  # L = n D_0
+        q = (n + 1) // math.gcd(lcm, n + 1)
         if q > 1:
-            row = [q * t for t in row]
-        row = [(m - 1) * a + j * b // (j + 1)
-               for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+            row, lcm = [q * d for d in row], q * lcm
+        row = list(accumulate((-m * d for m, d in enumerate(row)),
+                              initial=lcm // (n + 1)))
         _CAUCHY1_ROW[:] = row
-        total = sum(row[m::-2]) - sum(row[m - 1::-2])
-        _CAUCHY1.append(Fraction(total, (m + 1) * row[-1]))
+        _CAUCHY1.append(Fraction(row[-1], lcm))
     return _CAUCHY1[k]
 
 
 def cauchy1_integral(k: int) -> Fraction:
     """Oracle route: k! times the integral of binom(x,k) over [0,1]. The
     integer coefficients of x(x-1)...(x-k+1) are multiplied out one linear
-    factor at a time, independently of the Stirling step cauchy1 reads."""
+    factor at a time, which cauchy1's moment anti-diagonal never forms."""
     if k < 0:
         raise ValueError("cauchy1_integral requires k >= 0")
     coeffs = [1]

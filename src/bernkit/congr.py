@@ -50,13 +50,23 @@ class Residue(namedtuple("Residue", "value modulus")):
 def rational_mod(r, modulus: int, p: int) -> Residue:
     """Reduce a rational modulo the prime p or p^2 via the modular inverse of
     its denominator. Raises DenominatorDivisibleByP when the reduction is
-    ill-posed."""
+    ill-posed. The rational may also be an integer pair (num, den), read as
+    num/den: when p does not divide den it is reduced as it stands, which
+    is exact, since every common factor is then a unit mod p and mod p^2;
+    otherwise it goes through Fraction(num, den), which cancels the common
+    factors of p."""
     if modulus not in (p, p * p):
         raise ValueError("modulus must be p or p^2")
     if not isinstance(r, Fraction):
         if isinstance(r, int):  # denominator 1, which p never divides
             return Residue(r % modulus, modulus)
-        r = Fraction(r)
+        if type(r) is tuple:
+            num, den = r
+            if den % p:
+                return Residue(num * pow(den, -1, modulus) % modulus, modulus)
+            r = Fraction(num, den)
+        else:
+            r = Fraction(r)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"denominator {r.denominator} divisible by {p} for value {r}")
@@ -90,7 +100,7 @@ def _vsc(p: int) -> list[tuple]:
     statements = []
     for j in range(1, p + 1):
         b = bernoulli(2 * j)
-        statements.append((Fraction(p * b.numerator, b.denominator),  # p B_2j
+        statements.append(((p * b.numerator, b.denominator),  # p B_2j
                            -1 if (2 * j) % (p - 1) == 0 else 0, p, f"j={j}"))
     return statements
 

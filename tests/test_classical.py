@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -178,6 +179,17 @@ class TestEuler:
                 assert expanded == series.egf(n)
 
 
+# every k <= 150 whose step rescales cauchy1's anti-diagonal: lcm(1..k+1)
+# grows, as k + 1 is a prime power
+RESCALES = [k for k in range(1, 151)
+            if math.lcm(*range(1, k + 2)) > math.lcm(*range(1, k + 1))]
+
+
+@functools.cache
+def cauchy1_oracle(k):
+    return cauchy1_integral(k)
+
+
 class TestCauchy:
     def test_values(self):
         assert cauchy1(0) == 1
@@ -191,22 +203,58 @@ class TestCauchy:
         # the table grows to the largest k asked for, no further
         assert len(classical._CAUCHY1) == 41
 
-    def test_perturbed_working_row_is_caught(self, cold):
-        # one wrong entry of row 10 corrupts every later c_k: HW_CAUCHY's
-        # Bernoulli side and the c_p congruences catch each of them. The row
-        # holds T_j = L [10,j] / (j+1) with L = lcm(1..11), so [10,3] + 1
-        # is T_3 + L/4, which keeps every later division exact
+    @settings(max_examples=40, deadline=None)
+    @given(ks=st.lists(st.integers(0, 150), min_size=1, max_size=8))
+    @example(ks=RESCALES)
+    @example(ks=RESCALES[::-1])
+    @example(ks=[127, 126, 128, 6, 7, 5])
+    @example(ks=[0])
+    def test_any_request_order_matches_integral_oracle(self, ks):
+        # requests in any order, from cold and again after clear_memos, read
+        # the integral oracle's values, across the steps that rescale the
+        # anti-diagonal (k + 1 a prime power); the table and its row end at
+        # the largest k asked
+        for _ in range(2):
+            clear_memos()
+            assert [cauchy1(k) for k in ks] == [cauchy1_oracle(k) for k in ks]
+            assert len(classical._CAUCHY1) == max(ks) + 1
+            assert len(classical._CAUCHY1_ROW) == max(ks) + 1
+
+    @staticmethod
+    def failures_after_perturbing(entry, delta):
+        # fill to k = 10, change one entry of the anti-diagonal, then sweep
+        # what reads c_k past 10: HW_CAUCHY's Bernoulli side, CP1 and C3SQ
         cauchy1(10)
-        classical._CAUCHY1_ROW[3] += math.lcm(*range(1, 12)) // 4
+        classical._CAUCHY1_ROW[entry] += delta
         report = verify_identity("HW_CAUCHY", SweepBounds(n_max=30))
-        assert [f["params"]["n"] for f in report.failures] == list(
-            range(11, 31))
-        primes = [p for p in odd_primes_upto(61) if p >= 11]
+        identity = [f["params"]["n"] for f in report.failures]
         report = prime_sweep(("CP1", "C3SQ"), 61)
-        assert [(f["id"], f["params"]["p"], f["params"]["case"])
-                for f in report.failures] == (
-            [("CP1", p, "c_p") for p in primes]
+        return identity, [(f["id"], f["params"]["p"], f["params"]["case"])
+                          for f in report.failures]
+
+    def test_perturbed_working_row_is_caught(self, cold):
+        # the row holds D_m = L I_(10-m)(m) with L = lcm(1..11); D_3 + L/4
+        # corrupts every later c_k. HW_CAUCHY catches each of them; CP1's
+        # c_p statement misses p = 59 alone (the wrong c_59 still reads
+        # 1 mod 59), and C3SQ, mod p^2, catches every p
+        primes = [p for p in odd_primes_upto(61) if p >= 11]
+        identity, congruences = self.failures_after_perturbing(
+            3, math.lcm(*range(1, 12)) // 4)
+        assert identity == list(range(11, 31))
+        assert congruences == (
+            [("CP1", p, "c_p") for p in primes if p != 59]
             + [("C3SQ", p, "") for p in primes])
+
+    def test_perturbed_lcm_entry_is_caught(self, cold):
+        # D_0 = L / 11 is where the step reads L from, and it enters the step
+        # through L alone: D_0 + 1 reads L + 11 = 11 * 2521. The wrong c_11
+        # is c_11 + (1/12 - c_11) / 2521, a multiple of 11^2 off, so p = 11
+        # passes CP1 and C3SQ; every later c_k is caught
+        primes = [p for p in odd_primes_upto(61) if p >= 13]
+        identity, congruences = self.failures_after_perturbing(0, 1)
+        assert identity == list(range(11, 31))
+        assert congruences == ([("CP1", p, "c_p") for p in primes]
+                               + [("C3SQ", p, "") for p in primes])
 
 
 class TestHw:

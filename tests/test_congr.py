@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bernkit import congr
 from bernkit.congr import (DenominatorDivisibleByP, Residue, check_congruence,
@@ -21,7 +21,7 @@ class TestRationalMod:
 
     def test_modulus_validation(self):
         # an int is reduced directly, but only after the modulus is checked
-        for r in (Fraction(1, 2), 0, 5, -5, 2**300):
+        for r in (Fraction(1, 2), 0, 5, -5, 2**300, (1, 2)):
             with pytest.raises(ValueError):
                 rational_mod(r, 15, 3)
 
@@ -54,6 +54,31 @@ class TestRationalMod:
     def test_int_fast_path_matches_fraction(self, n, p, square):
         m = p * p if square else p
         assert rational_mod(n, m, p) == rational_mod(Fraction(n), m, p)
+
+    @given(st.sampled_from([3, 5, 7, 11, 151]), st.booleans(),
+           st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+           st.integers(0, 3), st.integers(0, 3), st.integers(1, 60))
+    @example(5, True, 7, 3, 2, 2, 6)
+    @example(5, True, 7, 3, 2, 1, 1)
+    @example(5, False, 0, -3, 0, 3, 1)
+    @example(3, True, -2, 9, 1, 0, 2)
+    def test_pair_matches_fraction(self, p, square, num, den, a, b, unit):
+        # the pair (num p^a u, den p^b u), with common factors of p, of p^2
+        # and prime to p, reduces as its Fraction does, and raises exactly
+        # when that Fraction's denominator is divisible by p
+        m = p * p if square else p
+        pair = (num * p**a * unit, den * p**b * unit)
+        want = Fraction(*pair)
+        if want.denominator % p:
+            assert rational_mod(pair, m, p) == rational_mod(want, m, p)
+        else:
+            with pytest.raises(DenominatorDivisibleByP):
+                rational_mod(pair, m, p)
+
+    def test_pair_with_zero_denominator(self):
+        for pair in ((0, 0), (3, 0), (1, 0)):
+            with pytest.raises(ZeroDivisionError):
+                rational_mod(pair, 9, 3)
 
 
 def test_residue_range_enforced():

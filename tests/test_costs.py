@@ -19,7 +19,7 @@ MODULES = {module.__name__.rpartition(".")[2]: module
 TABLES = {"_S1": seqcore, "_S2": seqcore, "_S2_TOP": seqcore,
           "_BERN": classical, "_BERN_SUM": classical, "_EULER2": classical,
           "_SEIDEL": classical, "_EULER_SUM": classical,
-          "_CAUCHY1": classical}
+          "_CAUCHY1": classical, "_CAUCHY1_ROW": classical}
 
 
 def count_calls(monkeypatch, qualname):
@@ -76,6 +76,12 @@ ROWS = {
     "compute-hw": (
         lambda n: run_cli("compute", "hw", "--n-max", str(n)), (40, 80),
         lambda n: {"seqcore.binom": n, "seqcore.stirling2": n}),
+    # cauchy1 steps one anti-diagonal of integral moments up to N and reads
+    # no Stirling number of either kind
+    "compute-cauchy1": (
+        lambda n: run_cli("compute", "cauchy1", "--n-max", str(n)), (40, 300),
+        lambda n: {"_CAUCHY1": n + 1, "_CAUCHY1_ROW": n + 1,
+                   "seqcore.stirling1": 0, "seqcore.stirling2": 0}),
     # _calB's column weights read [k,j] once for each 1 <= k <= N and
     # 0 <= j < N, and STIRL20 reads [k,1] and [k,2] once for each k <= N;
     # the tables fill to rows N and N + 1 (_calB_row reads {N+1,k})

@@ -22,6 +22,7 @@ COMMANDS = {
     "compute stirling1 --n-max 6": 0,
     "compute stirling2 --n-max 8": 0,
     "compute hw --n-max 5 --x=-1/2": 0,
+    "compute cauchy1 --n-max 40": 0,
     "verify all --n-max 12 --m-max 5": 0,
     "verify MAIN --n-max 6 --include-j-equals-n": 1,
     "congruence all --p-max 31": 0,

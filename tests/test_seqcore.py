@@ -117,8 +117,8 @@ class TestStirling1:
 
 
 def test_each_triangle_grows_alone(cold):
-    # each kind appends rows only to its own triangle, and cauchy1 advances
-    # a scaled working row of [k,j] instead of filling either triangle
+    # each kind appends rows only to its own triangle, and cauchy1 steps an
+    # anti-diagonal of integral moments that reads neither triangle
     classical.cauchy1(300)
     assert (len(seqcore._S1), len(seqcore._S2)) == (1, 1)
     stirling2(40, 3)
