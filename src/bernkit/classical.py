@@ -3,12 +3,12 @@ numbers of the first kind, and the harmonic-weighted Stirling transform.
 
 Bernoulli convention is fixed at B_1 = -1/2 throughout. The Euler
 polynomials have one route, the series 2e^{xt}/(e^t+1) in `fps`
-(`named_series("euler-poly-egf", n, x=x)`). The Euler numbers come from
-Seidel's boustrophedon, by additions only: a third route to the tangent
-numbers, independent of Brent & Harvey's, which `bernoulli` runs, and of
-the series route. The Cauchy numbers c_k = int_0^1 (x)_k dx step one
-anti-diagonal of the moments int_0^1 x^r (x)_m dx, by small-integer products
-and additions, and read no Stirling triangle.
+(`named_series("euler-poly-egf", n, x=x)`). B_n and E_n come by additions
+only, off one working row each of two Seidel triangles that share no code:
+the Genocchi triangle, `_GENOCCHI`, and the boustrophedon, `_SEIDEL`. Each
+checks the other's tangent numbers. The Cauchy numbers c_k = int_0^1 (x)_k
+dx step one anti-diagonal of the moments int_0^1 x^r (x)_m dx, by
+small-integer products and additions, and read no Stirling triangle.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .seqcore import (binom, binom_int, factorial, memo, ratsum,
 
 
 _BERN: list[Fraction] = memo([Fraction(1)])
-# Brent & Harvey's TangentNumbers recurrence (arXiv:1108.0286), one column at
-# a time: _TAN[i] is t_j after pass i + 1 for j = len(_TAN), so _TAN[-1] is
-# the tangent number T_j, and len(_TAN) == (len(_BERN) - 1) // 2.
-_TAN: list[int] = memo([])
+# a row of Seidel's Genocchi triangle, right to left after a 0 sentinel:
+# _GENOCCHI[1] = |G_2j| for j = (len(_BERN) + 1) // 2 = len(_GENOCCHI) - 1
+_GENOCCHI: list[int] = memo([0, 1])
 _BERN_SUM: list[Fraction] = memo([Fraction(1)])  # sum_{j<=n} B_j
 _BERN_RECIP: dict[int, Fraction] = memo({})  # n -> sum_{j<=n} B_j/(n-j+1)
 _EULER2: list[int] = memo([1])  # e_n = 2^n E_n(0), an integer
@@ -44,9 +43,10 @@ _CAUCHY1_ROW: list[int] = memo([1])
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from the integer tangent numbers:
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0 at odd n > 1.
-    Each new B_2k costs O(k) integer operations and no division."""
+    """B_n with B_1 = -1/2, and B_n = 0 at odd n > 1, from the Genocchi
+    numbers: B_2j = (-1)^(j-1) |G_2j| / (2 (4^j - 1)). Each new B_2j steps
+    Seidel's row by a prefix-sum and a suffix-sum pass (Dumont & Viennot,
+    Ann. Discrete Math. 6, 1980): O(j) additions and no division."""
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
     while len(_BERN) <= n:
@@ -54,14 +54,14 @@ def bernoulli(n: int) -> Fraction:
         if m % 2:
             _BERN.append(Fraction(-1, 2) if m == 1 else Fraction(0))
             continue
-        # passes 1..j-1 carry column j-1 to column j; pass j doubles
-        j, v = m // 2, 0
-        for i in range(j - 1):
-            v = _TAN[i] = (j - 1 - i) * _TAN[i] + (j + 1 - i) * v
-        _TAN.append(2 * v if _TAN else 1)
-        four_j = 1 << m
-        _BERN.append(Fraction((-1) ** (j - 1) * m * _TAN[-1],
-                              four_j * (four_j - 1)))
+        g = _GENOCCHI[1]  # |G_m|
+        # each pass pops what it reads, up to the sentinel: one row is live
+        row = [0]
+        row.extend(accumulate(iter(_GENOCCHI.pop, 0)))
+        row.append(row[-1])
+        _GENOCCHI.append(0)
+        _GENOCCHI.extend(accumulate(iter(row.pop, 0)))
+        _BERN.append(Fraction(g if m & 2 else -g, 2 * ((1 << m) - 1)))
     return _BERN[n]
 
 
@@ -119,9 +119,8 @@ def euler_number(n: int) -> Fraction:
     is A_n (Millar, Sloane & Young, "A new operation on sequences: the
     boustrophedon transform", J. Combin. Theory Ser. A 76, 1996). O(n)
     integer additions per new n and no multiplication. It shares no code
-    with Brent & Harvey's tangent-number recurrence in `bernoulli`, nor
-    with the series route named_series("euler-poly-egf", n, x=0); both
-    check it."""
+    with `bernoulli`'s Genocchi triangle, `_GENOCCHI`, nor with the series
+    route named_series("euler-poly-egf", n, x=0); both check it."""
     if n < 0:
         raise ValueError("euler_number requires n >= 0")
     while len(_EULER2) <= n:

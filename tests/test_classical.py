@@ -65,14 +65,15 @@ class TestBernoulli:
         vsc = [2 * j for p in odd_primes_upto(151) for j in range(1, p + 1)]
         assert values(vsc) == cold
 
-    def test_perturbed_tangent_column_is_caught(self, cold):
-        # one wrong entry of the working column corrupts every later B_2j,
-        # and WORPITZKY's independent Stirling route catches it
+    def test_perturbed_genocchi_row_is_caught(self, cold):
+        # one wrong entry of the working row, past |G_22| at its head,
+        # enters every |G_2j| from j = 12 on, and WORPITZKY's independent
+        # Stirling route catches each of those B_2j
         bernoulli(20)
-        classical._TAN[4] += 1
+        classical._GENOCCHI[4] += 1
         report = verify_identity("WORPITZKY", SweepBounds(n_max=40))
         assert [f["params"]["n"] for f in report.failures] == list(
-            range(22, 41, 2))
+            range(24, 41, 2))
 
     def test_worpitzky_small(self):
         assert worpitzky_bernoulli(1) == Fraction(-1, 2)
@@ -125,8 +126,8 @@ class TestEuler:
         # E_k(1) = -E_k(0) = 2(2^(k+1)-1) B_(k+1)/(k+1); fails at k=0
         # (E_0 is the constant 1), holds from k=1 on (DLMF 24.4). Three
         # independent routes: the series 2e^t/(e^t+1) gives E_k(1),
-        # euler_number Seidel's boustrophedon for 2^k E_k(0), bernoulli the
-        # tangent numbers.
+        # euler_number Seidel's boustrophedon for 2^k E_k(0), bernoulli
+        # Seidel's Genocchi triangle.
         at_one = fps.named_series("euler-poly-egf", 40, x=1)
         assert at_one.egf(1) == -euler_number(1) == Fraction(1, 2)
         for k in range(1, 41):
@@ -134,15 +135,16 @@ class TestEuler:
             assert at_one.egf(k) == -euler_number(k) == closed
 
     def test_tangent_numbers_match_bernoulli(self):
-        # euler_number's boustrophedon and bernoulli's tangent column
-        # (Brent & Harvey) reach the tangent numbers by different algorithms
+        # euler_number's boustrophedon and bernoulli's Genocchi triangle
+        # (two Seidel triangles that share no code) reach the tangent
+        # numbers by different algorithms
         assert euler_tangent_mismatches(300) == []
         assert all(euler_number(n) == 0 for n in range(2, 601, 2))
 
     def test_tangent_check_kills_perturbed_tables(self, cold):
         bernoulli(20)
-        classical._TAN[4] += 1  # every later B_2k is wrong
-        assert euler_tangent_mismatches(30) == list(range(11, 31))
+        classical._GENOCCHI[4] += 1  # every B_2k from k = 12 on is wrong
+        assert euler_tangent_mismatches(30) == list(range(12, 31))
         clear_memos()
         euler_number(20)
         classical._EULER2[9] += 1  # e_9 alone: no later e_n reads it

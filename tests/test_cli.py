@@ -389,6 +389,29 @@ def test_congruence_all_to_2003_stays_under_256_mb():
     assert hwm_kb < 256 * 1024
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_bernoulli_to_4006_values_and_peak():
+    # the values of B_0..B_4006 that Brent & Harvey's tangent-number
+    # recurrence gave, as decimal num/den lines; the cold fill's peak RSS,
+    # read before the values are formatted
+    script = ("import hashlib, sys; sys.set_int_max_str_digits(0); "
+              "from bernkit.classical import bernoulli; bernoulli(4006); "
+              "hwm = [line.split()[1] for line in open('/proc/self/status') "
+              "if line.startswith('VmHWM:')]; "
+              "text = '\\n'.join(f'{b.numerator}/{b.denominator}' "
+              "for b in map(bernoulli, range(4007))); "
+              "print(hashlib.sha256(text.encode()).hexdigest(), *hwm)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=bernkit_env(), text=True, timeout=600,
+                          check=True)
+    digest, hwm_kb = proc.stdout.split()
+    assert digest == ("a9977c1d93fceac19500ae338dc216cd"
+                      "4178a4cb1313d2e876ebf8b175f6aafe")
+    assert int(hwm_kb) < 64 * 1024
+
+
 def test_python_m_bernkit_runs_the_cli(capsys):
     argv = ["compute", "bernoulli", "--n-max", "3", "--no-meta"]
     proc = subprocess.run([sys.executable, "-m", "bernkit", *argv],

@@ -17,7 +17,8 @@ MODULES = {module.__name__.rpartition(".")[2]: module
            for module in (seqcore, classical, fps, polybern, identities,
                           congr, cli)}
 TABLES = {"_S1": seqcore, "_S2": seqcore, "_S2_TOP": seqcore,
-          "_BERN": classical, "_BERN_SUM": classical, "_EULER2": classical,
+          "_BERN": classical, "_GENOCCHI": classical,
+          "_BERN_SUM": classical, "_EULER2": classical,
           "_SEIDEL": classical, "_EULER_SUM": classical,
           "_CAUCHY1": classical, "_CAUCHY1_ROW": classical}
 
@@ -29,9 +30,9 @@ def count_calls(monkeypatch, qualname):
     layer, name = qualname.split(".")
     original, calls = getattr(MODULES[layer], name), []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in MODULES.values():
         if getattr(module, name, None) is original:
@@ -57,6 +58,13 @@ def congruence_tables(p_max):
             "_S2": p + 1, "_BERN_SUM": p + 1, "_EULER_SUM": p + 1,
             "_SEIDEL": p + 1,
             "congr.rational_mod": statements + 13 * len(primes) - 2}
+
+
+def fill_sums(n):
+    # every k <= n asked for in ascending order, as `compute` walks
+    for k in range(n + 1):
+        classical.bernoulli_sum(k)
+        classical.euler_sum(k)
 
 
 def stirp_tables(p_max):
@@ -113,6 +121,16 @@ ROWS = {
     "hockey": (
         lambda n: verify_identity("HOCKEY", SweepBounds(n_max=n)), (40, 80),
         lambda n: {"seqcore.binom_int": n * (n + 1) // 2}),
+    # the Bernoulli and Euler fills carry one working row each, stepped by
+    # two running-sum passes per new B_2j (Genocchi) and one per new e_n
+    # (Seidel); the running sums of B_j and E_j(0) keep one entry per n.
+    # A fill that restarts from cold on each call repeats its passes
+    "bernoulli-fill": (
+        fill_sums, (200, 700),
+        lambda n: {"_BERN": n + 1, "_GENOCCHI": n // 2 + 2,
+                   "_BERN_SUM": n + 1, "_EULER2": n + 1, "_SEIDEL": n + 1,
+                   "_EULER_SUM": n + 1,
+                   "classical.accumulate": 2 * (n // 2) + n}),
     "congruence-all": (
         lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
         (31, 151), congruence_tables),

@@ -191,7 +191,7 @@ def test_every_memo_table_is_registered_and_cleared():
     cold = {"_S2": [[1]], "_S2_TOP": [], "_S1": [[1]], "_FACT": [1],
             "_H": [Fraction(0)],
             "_HM": {}, "_TRANSFORM_COLUMNS": {}, "_BERN": [Fraction(1)],
-            "_TAN": [],
+            "_GENOCCHI": [0, 1],
             "_BERN_SUM": [Fraction(1)], "_BERN_RECIP": {}, "_EULER2": [1],
             "_SEIDEL": [1], "_EULER_SUM": [1],
             "_CAUCHY1": [Fraction(1)], "_CAUCHY1_ROW": [1], "_FALLING": {},
