@@ -9,10 +9,19 @@ Residues (`Residue`), statement results (`CongruenceResult`), catalog
 entries (`CongruenceEntry`) and the sweep's `identities.Report` are
 immutable tuple values; a residue is range-checked whenever it is
 constructed.
+
+`rational_mod` dispatches on the exact type of its argument, int, then
+integer pair (tuple), then Fraction, before any `isinstance`: Fraction's
+metaclass is `abc.ABCMeta`, so `isinstance(r, Fraction)` of anything that
+is not exactly a Fraction is an ABC check, and most statements of a sweep
+(STIRP's and VSC's) are ints and pairs. STIRP reads row p of S2 once per
+prime, through `seqcore._stirling2_row`, and `check_congruence` tests each
+p for primality once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -21,7 +30,7 @@ from typing import Callable, NamedTuple
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_sum)
 from .identities import Report
-from .seqcore import factorial, harmonic, stirling2
+from .seqcore import _stirling2_row, factorial, harmonic
 
 
 class DenominatorDivisibleByP(ArithmeticError):
@@ -54,19 +63,26 @@ def rational_mod(r, modulus: int, p: int) -> Residue:
     num/den: when p does not divide den it is reduced as it stands, which
     is exact, since every common factor is then a unit mod p and mod p^2;
     otherwise it goes through Fraction(num, den), which cancels the common
-    factors of p."""
+    factors of p.
+
+    The argument is dispatched on its exact type, int, then tuple, then
+    Fraction, so none of these makes an ABC check; bool and subclasses of
+    int reduce as an int, and anything else, a subclass of Fraction
+    included, goes through Fraction(r)."""
     if modulus not in (p, p * p):
         raise ValueError("modulus must be p or p^2")
-    if not isinstance(r, Fraction):
-        if isinstance(r, int):  # denominator 1, which p never divides
+    kind = type(r)
+    if kind is int:  # denominator 1, which p never divides
+        return Residue(r % modulus, modulus)
+    if kind is tuple:
+        num, den = r
+        if den % p:
+            return Residue(num * pow(den, -1, modulus) % modulus, modulus)
+        r = Fraction(num, den)
+    elif kind is not Fraction:
+        if isinstance(r, int):  # bool, or a subclass of int
             return Residue(r % modulus, modulus)
-        if type(r) is tuple:
-            num, den = r
-            if den % p:
-                return Residue(num * pow(den, -1, modulus) % modulus, modulus)
-            r = Fraction(num, den)
-        else:
-            r = Fraction(r)
+        r = Fraction(r)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"denominator {r.denominator} divisible by {p} for value {r}")
@@ -120,11 +136,16 @@ CATALOG: dict[str, CongruenceEntry] = {
     "VSC": CongruenceEntry(_vsc),
     "CP1": CongruenceEntry(lambda p: [(cauchy1(p), 1, p, "c_p"),
                                       (p * cauchy1(p - 1), 1, p, "p*c_(p-1)")]),
-    "STIRP": CongruenceEntry(lambda p: [(stirling2(p, k), 0, p, f"k={k}")
-                                        for k in range(2, p)]),
+    "STIRP": CongruenceEntry(lambda p: [
+        (s, 0, p, f"k={k}") for k, s in enumerate(_stirling2_row(p)[2:p], 2)]),
 }
 
 CONGRUENCE_IDS = tuple(CATALOG)
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # 5 and 5.0 apart
+def _is_odd_prime(p: int) -> bool:
+    return p >= 3 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def check_congruence(id: str, p: int) -> list[CongruenceResult]:
@@ -135,7 +156,7 @@ def check_congruence(id: str, p: int) -> list[CongruenceResult]:
     if id not in CATALOG:
         raise KeyError(f"unknown congruence id {id!r}")
     entry = CATALOG[id]
-    if p < 3 or not all(p % q for q in range(2, math.isqrt(p) + 1)):
+    if not _is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     if p < entry.min_p:
         raise ValueError(f"{id} requires p >= {entry.min_p}")

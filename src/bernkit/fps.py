@@ -55,9 +55,13 @@ class Egf:
     def __call__(self, x: RatLike) -> Fraction:
         """Exact value of the truncated polynomial at t = x, by one integer
         Horner pass: with x = a/b and the coefficients c_i over their lcm d,
-        it is sum_i (d c_i) a^i b^(order-i) / (d b^order)."""
+        it is sum_i (d c_i) a^i b^(order-i) / (d b^order). An x that is
+        exactly an int or a Fraction is read as it stands, with no re-wrap;
+        anything else (a str, float, Decimal, or a subclass of int or
+        Fraction) goes through Fraction(x) first."""
         d, ints = self._scaled()
-        x = Fraction(x)
+        if type(x) not in (int, Fraction):
+            x = Fraction(x)
         a, b = x.numerator, x.denominator
         acc, b_i = 0, 1  # b_i = b^i after i coefficients
         for r in reversed(ints):

@@ -527,9 +527,16 @@ def eval_identity(case: IdentityCase) -> tuple[Fraction, Fraction]:
     return entry.lhs(**case.params), entry.rhs(**case.params)
 
 
+# side values compared by numerator and denominator: Fraction.__eq__ asks
+# isinstance(other, numbers.Rational), an ABC check, on every case
+_EXACT = (int, Fraction)
+
+
 def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
     """Sweep the full declared domain, collecting every failure. A case that
-    raises counts as a failure, with a note naming the exception."""
+    raises counts as a failure, with a note naming the exception. Two sides
+    that are exactly int or Fraction are compared by numerator and
+    denominator, any others by `!=`."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     bounds = bounds or SweepBounds()
@@ -550,7 +557,14 @@ def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
             notes.append(f"{params}: {exc}")
         except Exception as exc:  # one broken case must not end the sweep
             notes.append(f"{params}: {type(exc).__name__}: {exc}")
-        if rhs is None or lhs != rhs:
+        if rhs is None:
+            failed = True
+        elif type(lhs) in _EXACT and type(rhs) in _EXACT:
+            failed = (lhs.numerator != rhs.numerator
+                      or lhs.denominator != rhs.denominator)
+        else:
+            failed = lhs != rhs
+        if failed:
             failures.append({"id": id, "params": params, "lhs": lhs, "rhs": rhs})
     return Report(id, len(domain), failures, notes)
 

@@ -10,6 +10,22 @@ from bernkit.congr import (DenominatorDivisibleByP, Residue, check_congruence,
 from bernkit.seqcore import harmonic
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestRationalMod:
     def test_examples(self):
         assert rational_mod(Fraction(-1, 2), 3, 3) == Residue(1, 3)
@@ -74,6 +90,27 @@ class TestRationalMod:
         else:
             with pytest.raises(DenominatorDivisibleByP):
                 rational_mod(pair, m, p)
+
+    @given(st.sampled_from(["int", "bool", "int subclass", "pair",
+                            "Fraction", "Fraction subclass"]),
+           st.sampled_from([3, 5, 7, 11, 151]), st.booleans(),
+           st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+           st.integers(0, 3), st.integers(0, 3), st.integers(1, 60))
+    @example("pair", 5, True, 7, 3, 1, 2, 6)
+    @example("Fraction subclass", 3, False, 1, 1, 0, 1, 1)
+    @example("bool", 3, True, 1, 1, 0, 0, 1)
+    def test_every_input_type_matches_fraction(self, kind, p, square, num,
+                                               den, a, b, unit):
+        # the exact-type dispatch returns what the Fraction of the input
+        # returns, or raises the same exception with the same message
+        m = p * p if square else p
+        num, den = num * p**a * unit, den * p**b * unit
+        r = {"int": num, "bool": num % 2 == 1, "int subclass": _Int(num),
+             "pair": (num, den), "Fraction": Fraction(num, den),
+             "Fraction subclass": _Fraction(num, den)}[kind]
+        want = Fraction(*r) if kind == "pair" else Fraction(r)
+        assert (outcome(rational_mod, r, m, p)
+                == outcome(rational_mod, want, m, p))
 
     def test_pair_with_zero_denominator(self):
         for pair in ((0, 0), (3, 0), (1, 0)):

@@ -5,6 +5,7 @@ that brings back a costlier path fails here even when no timing would see
 it. Every row starts from cold tables."""
 
 import contextlib
+import importlib
 import io
 
 import pytest
@@ -24,19 +25,27 @@ TABLES = {"_S1": seqcore, "_S2": seqcore, "_S2_TOP": seqcore,
 
 
 def count_calls(monkeypatch, qualname):
-    """Wrap the function `qualname`, "module.name", under every module name
-    bound to it, and return the list that collects the arguments of each
-    call."""
-    layer, name = qualname.split(".")
-    original, calls = getattr(MODULES[layer], name), []
+    """Wrap the function `qualname` and return the list that collects the
+    arguments of each call. "module.name" names a bernkit function, wrapped
+    under every module name bound to it; "module.Class.method" a method,
+    wrapped on its class."""
+    *owner, name = qualname.split(".")
+    if len(owner) == 2:
+        module, cls = owner
+        targets = [getattr(importlib.import_module(module), cls)]
+        original = getattr(targets[0], name)
+    else:
+        original = getattr(MODULES[owner[0]], name)
+        targets = [module for module in MODULES.values()
+                   if getattr(module, name, None) is original]
+    calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in MODULES.values():
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
+    for target in targets:
+        monkeypatch.setattr(target, name, counting)
     return calls
 
 
@@ -68,15 +77,29 @@ def fill_sums(n):
 
 
 def stirp_tables(p_max):
-    # S2 keeps rows 0..S2_ROWS whole, and one working row past them
-    p = odd_primes_upto(p_max)[-1]
+    # S2 keeps rows 0..S2_ROWS whole, and one working row past them; STIRP
+    # reads row p once per prime, in one stirling2 call
+    primes = odd_primes_upto(p_max)
+    p = primes[-1]
     return {"_S2": min(p, seqcore.S2_ROWS) + 1,
-            "_S2_TOP": int(p > seqcore.S2_ROWS)}
+            "_S2_TOP": int(p > seqcore.S2_ROWS),
+            "seqcore.stirling2": len(primes)}
+
+
+def congruence_abc_checks(p_max):
+    # rational_mod reads the exact type of its argument before any
+    # isinstance, so no statement makes an ABC check. What is left is per
+    # prime: the seven int-times-Fraction products of C1, C3, C1SQ, C3SQ,
+    # CP1 and GLAISHER (two) each ask Fraction's reflected operator for
+    # isinstance(p, numbers.Rational). The JSON writer asks
+    # isinstance(value, Iterator) once per value of the report: five
+    return {"abc.ABCMeta.__instancecheck__":
+            7 * len(odd_primes_upto(p_max)) + 5}
 
 
 # name: (run at a bound, two bounds, expected counts at that bound); a key
-# "module.name" counts the calls of that function, any other key is the
-# length of that memo table when the run ends
+# "module.name" or "module.Class.method" counts the calls of that function,
+# any other key is the length of that memo table when the run ends
 ROWS = {
     # each hw(n, x), n = 1..N, makes one binom(x, n) call that grows binom's
     # falling row for x to F_n and one stirling2 call that fills S2 to row
@@ -123,22 +146,30 @@ ROWS = {
         lambda n: {"seqcore.binom_int": n * (n + 1) // 2}),
     # the Bernoulli and Euler fills carry one working row each, stepped by
     # two running-sum passes per new B_2j (Genocchi) and one per new e_n
-    # (Seidel); the running sums of B_j and E_j(0) keep one entry per n.
-    # A fill that restarts from cold on each call repeats its passes
+    # (Seidel); the running sums of B_j and E_j(0) keep one entry per n,
+    # and the one of B_j costs one Fraction addition per new n. A fill that
+    # restarts from cold on each call repeats its passes, and a running sum
+    # that restarts repeats its additions
     "bernoulli-fill": (
         fill_sums, (200, 700),
         lambda n: {"_BERN": n + 1, "_GENOCCHI": n // 2 + 2,
                    "_BERN_SUM": n + 1, "_EULER2": n + 1, "_SEIDEL": n + 1,
                    "_EULER_SUM": n + 1,
-                   "classical.accumulate": 2 * (n // 2) + n}),
+                   "classical.accumulate": 2 * (n // 2) + n,
+                   "fractions.Fraction.__add__": n}),
     "congruence-all": (
         lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
         (31, 151), congruence_tables),
-    # STIRP reads {p,k} for the primes in ascending order, and so steps one
+    # STIRP reads row p for the primes in ascending order, and so steps one
     # working row up past S2_ROWS
     "stirp": (
         lambda p_max: run_cli("congruence", "STIRP", "--p-max", str(p_max)),
         (151, 601), stirp_tables),
+    # ABC checks (Fraction's metaclass is abc.ABCMeta) grow per prime, not
+    # per statement
+    "congruence-abc": (
+        lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
+        (31, 151), congruence_abc_checks),
 }
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,25 @@ def test_call_matches_fraction_horner(coeffs, xs):
             acc = acc * x + c
         value = a(x)
         assert type(value) is Fraction and value == acc
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+@given(_coeff_lists, st.integers(-30, 30), _rationals)
+def test_call_at_any_input_type_matches_fraction(coeffs, n, q):
+    # an exact int or Fraction is read as it stands and anything else goes
+    # through Fraction(x) first; both give the value at Fraction(x)
+    a = Egf(coeffs)
+    for x in (n, q, "1/3", 0.5, Decimal("0.25"), True, _Int(n),
+              _Fraction(q)):
+        value = a(x)
+        assert type(value) is Fraction and value == a(Fraction(x)), x
 
 
 @given(_coeff_lists, _coeff_lists, st.booleans())

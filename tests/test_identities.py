@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernkit import classical, fps, identities, polybern, seqcore
@@ -119,6 +119,33 @@ class TestSweeps:
         assert report.failures == [{"id": "H1", "params": {"n": 5},
                                     "lhs": entry.lhs(n=5), "rhs": None}]
         assert report.notes == ["{'n': 5}: ZeroDivisionError: probe"]
+
+    @given(*[st.one_of(st.none(), st.integers(-2, 2),
+                       st.fractions(-2, 2, max_denominator=3),
+                       st.sampled_from([-2.0, 0.0, 0.5, 1.0, math.nan]))] * 2)
+    @example(Fraction(1, 2), 0.5)
+    @example(1, Fraction(1))
+    @example(None, None)
+    def test_verdict_matches_inequality(self, lhs, rhs):
+        # int and Fraction sides are compared by numerator and denominator,
+        # any other by !=; either way a case fails exactly when its right
+        # side is missing or the two sides differ
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(CATALOG, "H1", CATALOG["H1"]._replace(
+                cases=lambda b: [{"n": 1}], lhs=lambda n: lhs,
+                rhs=lambda n: rhs))
+            report = verify_identity("H1")
+        assert len(report.failures) == (rhs is None or lhs != rhs)
+
+    def test_str_side_is_recorded_and_sweep_continues(self, monkeypatch):
+        entry = CATALOG["H1"]
+        monkeypatch.setitem(CATALOG, "H1", entry._replace(
+            rhs=lambda n: str(entry.rhs(n=n)) if n == 5 else entry.rhs(n=n)))
+        h1, h2 = verify_all(SweepBounds(n_max=10), ids=("H1", "H2"))
+        assert (h1.cases, h1.failures) == (9, [{
+            "id": "H1", "params": {"n": 5}, "lhs": entry.lhs(n=5),
+            "rhs": str(entry.rhs(n=5))}])
+        assert h2.passed
 
     def test_verify_all_covers_catalog(self):
         reports = verify_all(SweepBounds(n_max=8, m_max=4, rand_count=2))

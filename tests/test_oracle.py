@@ -54,3 +54,22 @@ def test_stirling_triangles_match_sympy(cold):
         for k in range(n + 1):
             assert seqcore.stirling1(n, k) == stirling(n, k, kind=1)
             assert seqcore.stirling2(n, k) == stirling(n, k, kind=2)
+
+
+def test_harmonic_gen_matches_sympy(cold):
+    want = [_q(sympy.harmonic(n, 2)) for n in range(81)]
+    assert [seqcore.harmonic_gen(n, 2) for n in range(81)] == want
+
+
+def test_binom_matches_sympy(cold):
+    for x in (Fraction(1, 2), Fraction(-7, 3), 5):
+        want = [_q(sympy.binomial(sympy.Rational(x), k)) for k in range(60)]
+        assert [seqcore.binom(x, k) for k in range(60)] == want, x
+
+
+def test_bernoulli_poly_at_matches_sympy(cold):
+    # B_n(x) at an int and at a Fraction x, which Egf.__call__ reads as
+    # they stand; sympy's B_1(x) is x - 1/2 too
+    for x in (3, Fraction(-2, 5)):
+        want = [_q(sympy.bernoulli(n, sympy.Rational(x))) for n in range(31)]
+        assert [classical.bernoulli_poly_at(n, x) for n in range(31)] == want
