@@ -195,7 +195,8 @@ def hw(n: int, x) -> Fraction:
     total <- total b + {n,k} F_k d H_k, normalised once."""
     if n < 1:
         raise ValueError("hw requires n >= 1")
-    x = Fraction(x)
+    if type(x) is not Fraction:  # Fraction(x) would ask an ABC isinstance
+        x = Fraction(x)
     b = x.denominator
     binom(x, n)  # grows the falling row for x to F_n
     falling = seqcore._FALLING[x]

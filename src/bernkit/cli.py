@@ -6,20 +6,28 @@ printed as "num/den" in lowest terms; no floating point appears anywhere.
 
 Output goes to --out or stdout one row at a time: the sink is opened first,
 and no format builds the whole document as one string (JSON joins one list
-of only ints or only strs at a time). The JSON form is
+of only ints, only Decimals or only strs at a time). The JSON form is
 json.dumps(payload, indent=2) plus a newline, byte for byte.
 
 `compute stirling1|stirling2` makes its rows lazily, each from the one
 before, and drops each once written, so the dump holds one row and no memo
 triangle: `compute stirling2 --n-max 1000` (414 MB of JSON) peaks at about
 21 MiB of RSS, against 221.6 MiB when the triangle was filled first
-(VmHWM, Python 3.11, 2-vCPU x86-64; BENCH_23.json).
+(VmHWM, Python 3.11, 2-vCPU x86-64; BENCH_23.json). The rows are stepped
+in integer Decimals, under the exact context `EXACT`, in which a result
+that would round raises instead. libmpdec keeps a coefficient in base
+10^19, so str() of a Decimal is linear in its digits, where CPython's
+int-to-str is quadratic (Knuth, TAOCP Vol. 2, section 4.4): the n <= 1000
+S2 dump takes about 2 CPU s against 9 in ints (BENCH_35.json). A Decimal
+with exponent 0 prints as plain digits, so every format is byte-identical
+to the int dump.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import itertools
 import json
 import sys
@@ -29,6 +37,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import classical, congr, fps, identities, polybern, seqcore
+
+# Exact integer arithmetic in Decimal: no rounding, and any rounding raises
+# instead of printing a wrong digit
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                        traps=[decimal.Inexact, decimal.Rounded])
 
 SEQUENCES = ("bernoulli", "euler", "cauchy1", "stirling1", "stirling2",
              "harmonic", "dibernoulli", "hw", "poly_bernoulli")
@@ -92,10 +105,16 @@ def _emit(payload: dict, args) -> int:
     return 0
 
 
+# the items of a list written as one join, each of one exact type
+_JOIN = {int: int.__repr__, decimal.Decimal: decimal.Decimal.__str__,
+         str: encode_basestring_ascii}
+
+
 def _write_json(out, value, depth: int = 0) -> None:
     """Write `value` exactly as json.dumps(value, indent=2) lays it out, one
     item per write; an iterator is read once and written as the list of its
-    items, and a list of only ints or only strs is one join."""
+    items, and a list of only ints, only Decimals or only strs is one
+    join."""
     lazy = isinstance(value, Iterator)
     if not lazy and (not isinstance(value, (dict, list)) or not value):
         out.write(json.dumps(value))
@@ -109,12 +128,10 @@ def _write_json(out, value, depth: int = 0) -> None:
             _write_json(out, v, depth + 1)
             sep = "," + pad
         out.write(end + "}")
-    elif not lazy and all(type(v) is int for v in value):
-        out.write("[" + pad + ("," + pad).join(map(int.__repr__, value))
+    elif not lazy and (kind := type(value[0])) in _JOIN and all(
+            type(v) is kind for v in value):
+        out.write("[" + pad + ("," + pad).join(map(_JOIN[kind], value))
                   + end + "]")
-    elif not lazy and all(type(v) is str for v in value):
-        out.write("[" + pad + ("," + pad).join(map(encode_basestring_ascii,
-                                                   value)) + end + "]")
     else:
         sep = "[" + pad
         for v in value:
@@ -134,7 +151,7 @@ def _write_csv(out, payload: dict) -> None:
     elif "rows" in payload:
         w.writerow(["n", "row"])
         for n, row in enumerate(payload["rows"]):
-            w.writerow([n, " ".join(str(v) for v in row)])
+            w.writerow([n, " ".join(map(str, row))])
     else:
         w.writerow(["suite", payload.get("suite", "")])
         w.writerow(["cases", payload.get("cases", 0)])
@@ -161,7 +178,7 @@ def _write_markdown(out, payload: dict) -> None:
         line(f"## {payload['sequence']}")
         line("")
         for n, row in enumerate(payload["rows"]):
-            line(f"- row {n}: {' '.join(str(v) for v in row)}")
+            line(f"- row {n}: {' '.join(map(str, row))}")
     else:
         line(f"## suite: {payload['suite']}")
         line("")
@@ -189,7 +206,11 @@ def _cmd_compute(args) -> int:
         step = (seqcore.next_stirling1_row if name == "stirling1"
                 else seqcore.next_stirling2_row)
         payload["rows"] = itertools.accumulate(
-            range(n_max), lambda row, _: step(row), initial=[1])
+            range(n_max), lambda row, _: step(row),
+            initial=[decimal.Decimal(1)])
+        # the rows are stepped while they are written
+        with decimal.localcontext(EXACT):
+            return _emit(payload, args)
     else:
         fns = {
             "bernoulli": classical.bernoulli,

@@ -121,10 +121,15 @@ def _calB_weight(weight: Callable[[int], Fraction], j: int
     """The weight (-1)^k [k,j] weight(k), one function object per
     (weight, j), kept for the life of the process so that every `_calB`
     call at j reads one memoised transform column. weight(k) is read only
-    where [k,j] != 0."""
+    where [k,j] != 0. The sign is a negation on parity and the product one
+    Fraction, with no int-times-Fraction operator (an ABC check each)."""
     def column_weight(k: int) -> Fraction:
         s = stirling1(k, j)
-        return (-1) ** k * s * weight(k) if s else 0
+        if not s:
+            return 0
+        w = weight(k)
+        return Fraction(-s * w.numerator if k % 2 else s * w.numerator,
+                        w.denominator)
     return column_weight
 
 
@@ -134,7 +139,8 @@ def _calB(n: int, j: int,
     default with weight(k) = H_k, as the Stirling transform
     (-1)^j sum_k {n,k} (-1)^k [k,j] weight(k). Reads no row memo and
     every [k,j] it needs, so it stays a route independent of `_calB_row`."""
-    return (-1) ** j * stirling2_transform(n, _calB_weight(weight, j))
+    total = stirling2_transform(n, _calB_weight(weight, j))
+    return -total if j % 2 else total
 
 
 def _reciprocal(k: int) -> Fraction:
@@ -177,7 +183,8 @@ def _hsq_weight(k: int) -> Fraction:
 
 def _hsq_sum(n: int) -> Fraction:
     # (-1)^(n-k) = (-1)^n (-1)^k
-    return (-1) ** n * stirling2_transform(n, _hsq_weight)
+    total = stirling2_transform(n, _hsq_weight)
+    return -total if n % 2 else total
 
 
 # --- per-identity lhs/rhs evaluators ---------------------------------------
@@ -245,12 +252,13 @@ def _bern_row(n: int, shift: int = -1) -> Egf:
 def _polyx_coeff_rhs(n: int, coeff: int) -> Fraction:
     # x^coeff coefficient of hw(n, x) - H_n x^n as a polynomial in x, since
     # k! binom(x, k) = sum_i (-1)^(k-i) [k,i] x^i
-    return _calB_row(n)[coeff] - (harmonic(n) if coeff == n else 0)
+    c = _calB_row(n)[coeff]
+    return c - harmonic(n) if coeff == n else c
 
 
 def _polyx_rhs(n: int, x: Fraction) -> Fraction:
     # hw(n, x) - H_n x^n
-    h, hn, x = hw(n, x), harmonic(n), Fraction(x)
+    h, hn = hw(n, x), harmonic(n)
     return ratsum(((h.numerator, h.denominator),
                    (-hn.numerator * x.numerator**n,
                     hn.denominator * x.denominator**n)))
@@ -462,13 +470,13 @@ CATALOG: dict[str, IdentityEntry] = {
     "AGOH_ALT": IdentityEntry(
         "1 <= n <= n_max, 1 <= m <= m_max", _cases_nm,
         # sum_j (-1)^j c_j m^(n-j) = (-1)^n sum_j c_j (-m)^(n-j)
-        lambda n, m: (-1) ** n * _bern_row(n)(-m),
+        lambda n, m: -_bern_row(n)(-m) if n % 2 else _bern_row(n)(-m),
         # the memoised sum AGOH computed; a Fraction plus an int adds into
         # its numerator without normalising again
         lambda n, m: _agoh_rhs(n, m) + m ** (n - 1) * (n - 1)),
     "AGOH_M1": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),
-        lambda n: (-1) ** n * _bern_row(n)(-1),
+        lambda n: -_bern_row(n)(-1) if n % 2 else _bern_row(n)(-1),
         lambda n: n - harmonic(n)),
     "AGOH_COMBINE": IdentityEntry(
         "1 <= n <= n_max", _cases_n(1),

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import copy
 import math
+from decimal import Decimal
 from fractions import Fraction
-from operator import mul
+from itertools import count
+from operator import add, mul
 from typing import Callable, Iterable, TypeVar
 from weakref import WeakKeyDictionary
 
 _T = TypeVar("_T", bound=list | dict | WeakKeyDictionary)
+_N = TypeVar("_N", int, Decimal)  # the entries of a Stirling row
 _MEMOS: list[tuple] = []  # (table, a copy of its cold contents)
 
 
@@ -67,14 +70,18 @@ _TRANSFORM_COLUMNS: WeakKeyDictionary[Callable, list] = memo(
     WeakKeyDictionary())
 
 
-def next_stirling1_row(row: list[int]) -> list[int]:
-    """Row n of [n,k] from row n - 1: [n,k] = (n-1) [n-1,k] + [n-1,k-1]."""
+def next_stirling1_row(row: list[_N]) -> list[_N]:
+    """Row n of [n,k] from row n - 1: [n,k] = (n-1) [n-1,k] + [n-1,k-1].
+    The entries may be ints or integer Decimals; the new row's are of the
+    same type."""
     return [(len(row) - 1) * a + b for a, b in zip(row + [0], [0] + row)]
 
 
-def next_stirling2_row(row: list[int]) -> list[int]:
-    """Row n of {n,k} from row n - 1: {n,k} = k {n-1,k} + {n-1,k-1}."""
-    return [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+def next_stirling2_row(row: list[_N]) -> list[_N]:
+    """Row n of {n,k} from row n - 1: {n,k} = k {n-1,k} + {n-1,k-1}, as
+    C-level maps. The entries may be ints or integer Decimals; the new
+    row's are of the same type."""
+    return list(map(add, map(mul, count(), row + [0]), [0] + row))
 
 
 def stirling2(n: int, k: int) -> int:
@@ -202,7 +209,8 @@ def binom(x: Fraction | int, k: int) -> Fraction:
     once per call."""
     if k < 0:
         raise ValueError("binom requires k >= 0")
-    x = Fraction(x)
+    if type(x) is not Fraction:  # Fraction(x) would ask an ABC isinstance
+        x = Fraction(x)
     a, b = x.numerator, x.denominator
     falling = _FALLING.setdefault(x, [1])
     while len(falling) <= k:

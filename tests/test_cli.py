@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -343,6 +344,45 @@ def test_cold_dump_leaves_no_triangle(cold, tmp_path, capsys, sequence, fmt):
     assert peak < path.stat().st_size / 4
 
 
+def dump_rows(out: str, fmt: str) -> list[list[int]]:
+    """The triangle rows of a `compute stirling1|stirling2` dump."""
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    if fmt == "csv":
+        lines = out.splitlines()[1:]  # after the "n,row" header
+        return [[int(v) for v in line.split(",")[1].split()] for line in lines]
+    lines = [line for line in out.splitlines() if line.startswith("- row ")]
+    return [[int(v) for v in line.split(": ")[1].split()] for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize("sequence", ["stirling1", "stirling2"])
+def test_dump_rows_past_one_limb_are_the_triangle(cold, capsys, sequence,
+                                                  fmt):
+    # rows to 150 carry numbers of up to 263 digits, many 10^19 limbs of
+    # Decimal's coefficient and past the default context's 28 digits
+    n_max = 150
+    code, out = run(capsys, "compute", sequence, "--n-max", str(n_max),
+                    "--no-meta", "--format", fmt)
+    entry = getattr(seqcore, sequence)
+    assert code == 0
+    assert dump_rows(out, fmt) == [[entry(n, k) for k in range(n + 1)]
+                                   for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("sequence", ["stirling1", "stirling2"])
+def test_dump_that_would_round_raises(capsys, monkeypatch, sequence):
+    # the rows are stepped in the dump's context: cut to 40 digits, a sum
+    # that rounds raises, and every number written before it is exact
+    monkeypatch.setattr(cli, "EXACT", cli.EXACT.copy())
+    cli.EXACT.prec = 40
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        cli.main(["compute", sequence, "--n-max", "100", "--no-meta"])
+    out = capsys.readouterr().out
+    assert out.startswith('{\n  "sequence"') and "E" not in out
+    assert max(map(len, out.split())) <= 41  # 40 digits and a comma
+
+
 def bernkit_env() -> dict:
     """The environment with this bernkit's source directory on PYTHONPATH,
     for a fresh interpreter."""
@@ -356,18 +396,27 @@ def bernkit_env() -> dict:
                     reason="reads VmHWM from /proc/self/status")
 def test_stirling2_dump_to_n_1000_stays_small():
     # 414 MB of JSON: a process that kept the triangle peaked at about
-    # 220 MB of RSS; one that holds one row stays near the interpreter's own
-    script = ("import os; from bernkit import cli; "
-              "code = cli.main(['compute', 'stirling2', '--n-max', '1000', "
-              "'--no-meta', '--out', os.devnull]); "
-              "print(code, *[line.split()[1] for line in "
+    # 220 MB of RSS; one that holds one row stays near the interpreter's own.
+    # The document's SHA-256 is that of the dump stepped in ints and
+    # written by int.__repr__, before the rows were stepped in Decimal
+    script = ("import contextlib, hashlib, sys\n"
+              "from bernkit import cli\n"
+              "digest = hashlib.sha256()\n"
+              "class Sink:\n"
+              "    def write(self, text): digest.update(text.encode())\n"
+              "with contextlib.redirect_stdout(Sink()):\n"
+              "    code = cli.main(['compute', 'stirling2', '--n-max', '1000',"
+              " '--no-meta'])\n"
+              "print(code, digest.hexdigest(), *[line.split()[1] for line in "
               "open('/proc/self/status') if line.startswith('VmHWM:')])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=bernkit_env(), text=True, timeout=600,
                           check=True)
-    code, hwm_kb = map(int, proc.stdout.split())
-    assert code == 0
-    assert hwm_kb < 64 * 1024
+    code, digest, hwm_kb = proc.stdout.split()
+    assert code == "0"
+    assert digest == ("6920de14e5a06e413fb06f7d73e3ce7c"
+                      "88b29608ba3a9c73bd3221453e4e37e5")
+    assert int(hwm_kb) < 64 * 1024
 
 
 @pytest.mark.slow

@@ -170,6 +170,21 @@ ROWS = {
     "congruence-abc": (
         lambda p_max: run_cli("congruence", "all", "--p-max", str(p_max)),
         (31, 151), congruence_abc_checks),
+    # the signs of the identity sweep are negations on parity and its x
+    # values are not wrapped again in Fraction; as measured, most of what
+    # is left is verify_identity's sort of POLYX's Fraction keys (3,004 at
+    # identity-sweep's bounds, the high one here)
+    "identity-abc": (
+        lambda nm: verify_all(SweepBounds(n_max=nm[0], m_max=nm[1],
+                                          rand_count=10)),
+        ((20, 6), (45, 20)),
+        lambda nm: {"abc.ABCMeta.__instancecheck__":
+                    {20: 1959, 45: 4861}[nm[0]]}),
+    # the dump steps one row at a time, N times, and fills no memo triangle
+    "compute-stirling2": (
+        lambda n: run_cli("compute", "stirling2", "--n-max", str(n)),
+        (40, 300),
+        lambda n: {"seqcore.next_stirling2_row": n, "_S2": 1, "_S2_TOP": 0}),
 }
 
 
