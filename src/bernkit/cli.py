@@ -231,14 +231,6 @@ def _cmd_compute(args) -> int:
     return _emit(payload, args)
 
 
-def _bounds_from(args) -> identities.SweepBounds:
-    return identities.SweepBounds(
-        n_max=args.n_max, m_max=args.m_max,
-        j_min=args.j_min if args.j_min is not None else 0,
-        j_max=args.j_max,
-        include_j_equals_n=args.include_j_equals_n)
-
-
 def sweep_payload(suite: str, reports, notes: list[str]) -> dict:
     """The sweep reports as one JSON-ready payload (without `meta`): the
     suite name, the total case count, every failure record and the notes."""
@@ -265,24 +257,23 @@ def _emit_sweep(suite: str, reports, notes: list[str], args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ids = list(identities.IDENTITY_IDS) if args.identity == "all" \
-        else [args.identity]
-    for id in ids:
-        if id not in identities.CATALOG:
-            print(f"unknown identity {id!r}", file=sys.stderr)
-            return 2
-    reports = identities.verify_all(_bounds_from(args), ids)
+    if args.identity != "all" and args.identity not in identities.CATALOG:
+        print(f"unknown identity {args.identity!r}", file=sys.stderr)
+        return 2
+    ids = identities.IDENTITY_IDS if args.identity == "all" else [args.identity]
+    reports = identities.verify_all(identities.SweepBounds(
+        n_max=args.n_max, m_max=args.m_max, j_min=args.j_min,
+        j_max=args.j_max, include_j_equals_n=args.include_j_equals_n), ids)
     notes = [f"{rep.id}: {note}" for rep in reports for note in rep.notes]
     return _emit_sweep("identities", reports, notes, args)
 
 
 def _cmd_congruence(args) -> int:
-    ids = list(congr.CONGRUENCE_IDS) if args.congruence == "all" \
+    if args.congruence != "all" and args.congruence not in congr.CATALOG:
+        print(f"unknown congruence {args.congruence!r}", file=sys.stderr)
+        return 2
+    ids = congr.CONGRUENCE_IDS if args.congruence == "all" \
         else [args.congruence]
-    for id in ids:
-        if id not in congr.CONGRUENCE_IDS:
-            print(f"unknown congruence {id!r}", file=sys.stderr)
-            return 2
     if _too_small(args, p_max=3):
         return 2
     reports = [congr.prime_sweep((id,), args.p_max)._replace(id=id)
@@ -336,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", help="catalog id or 'all'")
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--m-max", type=int, default=20)
-    p.add_argument("--j-min", type=int, default=None)
+    p.add_argument("--j-min", type=int, default=0)
     p.add_argument("--j-max", type=int, default=None)
     p.add_argument("--include-j-equals-n", action="store_true",
                    help="include the documented j=n exclusion of MAIN")

@@ -8,7 +8,7 @@ terms may carry the prime in a denominator that cancels in aggregate.
 Residues (`Residue`), statement results (`CongruenceResult`), catalog
 entries (`CongruenceEntry`) and the sweep's `identities.Report` are
 immutable tuple values; a residue is range-checked whenever it is
-constructed.
+constructed. `prime_sweep` adapts the sweep policy `identities._sweep`.
 
 `rational_mod` dispatches on the exact type of its argument, int, then
 integer pair (tuple), then Fraction, before any `isinstance`: Fraction's
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from .classical import (bernoulli, bernoulli_reciprocal_sum, bernoulli_sum,
                         cauchy1, euler_sum)
-from .identities import Report
+from .identities import Report, _sweep
 from .seqcore import _stirling2_row, factorial, harmonic
 
 
@@ -134,6 +134,7 @@ CATALOG: dict[str, CongruenceEntry] = {
         factorial(p - 1), -p + p * bernoulli(p - 1), p * p, "")]),
     "BABBAGE": CongruenceEntry(lambda p: [(harmonic(p - 1), 0, p, "")]),
     "VSC": CongruenceEntry(_vsc),
+    # p*c_(p-1) is blind to errors prime to p; the kill tests need c_p, C3SQ
     "CP1": CongruenceEntry(lambda p: [(cauchy1(p), 1, p, "c_p"),
                                       (p * cauchy1(p - 1), 1, p, "p*c_(p-1)")]),
     "STIRP": CongruenceEntry(lambda p: [
@@ -182,31 +183,25 @@ def odd_primes_upto(p_max: int) -> list[int]:
 
 
 def prime_sweep(ids=CONGRUENCE_IDS, p_max: int = 101) -> Report:
-    """Run each catalog entry over all odd primes up to p_max, collecting
-    every failure. An entry that raises at a prime counts as one failed
-    case, with a note naming the exception. Every id is checked before any
-    prime is swept."""
+    """Sweep each entry over the odd primes to p_max, a prime per
+    `identities._sweep` unit, into one report; a prime below an entry's
+    least p is noted as skipped. Every id is checked before any prime."""
     ids = tuple(ids)
     if unknown := [id for id in ids if id not in CATALOG]:
         raise KeyError(f"unknown congruence id {unknown[0]!r}")
-    cases, failures, notes = 0, [], []
     primes = odd_primes_upto(p_max)
+    reports, notes = [], []
     for id in ids:
         min_p = CATALOG[id].min_p
-        for p in primes:
-            if p < min_p:
-                notes.append(f"skipped: {id} at p={p}: requires p >= {min_p}")
-                continue
-            try:
-                results = check_congruence(id, p)
-            except Exception as exc:  # one broken case must not end the sweep
-                cases += 1
-                notes.append(f"{id} at p={p}: {type(exc).__name__}: {exc}")
-                failures.append({"id": id, "params": {"p": p, "case": ""},
-                                 "lhs": None, "rhs": None})
-                continue
-            cases += len(results)
-            failures += [{"id": id, "params": {"p": p, "case": res.label},
-                          "lhs": res.lhs, "rhs": res.rhs}
-                         for res in results if not res.passed]
-    return Report("congruence", cases, failures, notes)
+        notes += [f"skipped: {id} at p={p}: requires p >= {min_p}"
+                  for p in primes if p < min_p]
+
+        def evaluate(p: int, sides: list, id: str = id) -> tuple[int, list]:
+            results = check_congruence(id, p)
+            return len(results), [({"p": p, "case": r.label}, r.lhs, r.rhs)
+                                  for r in results if not r.passed]
+        reports.append(_sweep(
+            id, [p for p in primes if p >= min_p], evaluate,
+            lambda p, id=id: (f"{id} at p={p}", {"p": p, "case": ""}), notes))
+    return Report("congruence", sum(rep.cases for rep in reports),
+                  [f for rep in reports for f in rep.failures], notes)

@@ -40,8 +40,8 @@ of one Fraction operation per term; each is still term by term.
 
 The records `IdentityCase`, `SweepBounds`, `IdentityEntry` and `Report` are
 immutable tuple values (`typing.NamedTuple`), like `congr`'s; change one
-with `_replace`. A sweep collects into lists of its own and builds its
-`Report` once, when it ends.
+with `_replace`. `_sweep` holds the sweep policy of both catalogs, and
+`verify_identity` and `congr.prime_sweep` are adapters over it.
 """
 
 from __future__ import annotations
@@ -540,41 +540,54 @@ def eval_identity(case: IdentityCase) -> tuple[Fraction, Fraction]:
 _EXACT = (int, Fraction)
 
 
+def _sweep(id: str, units: Iterable, evaluate: Callable, where: Callable,
+           notes: list[str]) -> Report:
+    """The sweep policy of both catalogs. `evaluate(unit, sides)` returns a
+    unit's case count and the (params, lhs, rhs) of each failing case, and
+    writes each side into `sides` as it reaches it. A unit that raises is
+    one failed case, kept with `where(unit)`'s params and the sides it
+    reached, and noted after `where(unit)`'s text."""
+    cases, failures = 0, []
+    for unit in units:
+        sides = [None, None]
+        try:
+            count, failed = evaluate(unit, sides)
+        except Exception as exc:  # one broken case must not end the sweep
+            text, params = where(unit)
+            notes.append(f"{text}: {exc}" if isinstance(exc, IndeterminateRHS)
+                         else f"{text}: {type(exc).__name__}: {exc}")
+            count, failed = 1, [(params, *sides)]
+        cases += count
+        for params, lhs, rhs in failed:
+            failures.append({"id": id, "params": params, "lhs": lhs, "rhs": rhs})
+    return Report(id, cases, failures, notes)
+
+
 def verify_identity(id: str, bounds: SweepBounds | None = None) -> Report:
-    """Sweep the full declared domain, collecting every failure. A case that
-    raises counts as a failure, with a note naming the exception. Two sides
-    that are exactly int or Fraction are compared by numerator and
-    denominator, any others by `!=`."""
+    """Sweep one identity's declared domain by `_sweep`, a case per unit.
+    Sides that are exactly int or Fraction are compared by numerator and
+    denominator, any others by `!=`; a right side of None fails."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     bounds = bounds or SweepBounds()
     entry = CATALOG[id]
-    failures = []
     notes = [entry.note(bounds)] if entry.note else []
     domain = list(entry.cases(bounds))
     if domain and domain[0]:
         # every case of one id has the same parameter names, so this is the
         # order of tuple(sorted(params.items()))
         domain.sort(key=operator.itemgetter(*sorted(domain[0])))
-    for params in domain:
-        lhs = rhs = None
-        try:
-            lhs = entry.lhs(**params)
-            rhs = entry.rhs(**params)
-        except IndeterminateRHS as exc:
-            notes.append(f"{params}: {exc}")
-        except Exception as exc:  # one broken case must not end the sweep
-            notes.append(f"{params}: {type(exc).__name__}: {exc}")
-        if rhs is None:
-            failed = True
-        elif type(lhs) in _EXACT and type(rhs) in _EXACT:
+
+    def evaluate(params: Params, sides: list) -> tuple:
+        sides[0] = lhs = entry.lhs(**params)
+        sides[1] = rhs = entry.rhs(**params)
+        if type(lhs) in _EXACT and type(rhs) in _EXACT:
             failed = (lhs.numerator != rhs.numerator
                       or lhs.denominator != rhs.denominator)
         else:
-            failed = lhs != rhs
-        if failed:
-            failures.append({"id": id, "params": params, "lhs": lhs, "rhs": rhs})
-    return Report(id, len(domain), failures, notes)
+            failed = rhs is None or lhs != rhs
+        return (1, [(params, lhs, rhs)]) if failed else (1, ())
+    return _sweep(id, domain, evaluate, lambda params: (params, params), notes)
 
 
 def verify_all(bounds: SweepBounds | None = None,

@@ -231,8 +231,10 @@ def test_sweep_records_raising_case_and_continues(monkeypatch):
     assert report.failures == [
         {"id": "BABBAGE", "params": {"p": p, "case": ""}, "lhs": None, "rhs": None}
         for p in (3, 5, 7, 11, 13)]
+    # README's note format, in prime order
     assert len(report.notes) == 5
-    assert all("DenominatorDivisibleByP" in note for note in report.notes)
+    assert all(note.startswith(f"BABBAGE at p={p}: DenominatorDivisibleByP: ")
+               for note, p in zip(report.notes, (3, 5, 7, 11, 13)))
 
 
 def test_c1sq_implies_c1():

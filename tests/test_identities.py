@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernkit import classical, fps, identities, polybern, seqcore
-from bernkit.congr import prime_sweep
+from bernkit.congr import CONGRUENCE_IDS, prime_sweep
 from bernkit.identities import (CATALOG, IDENTITY_IDS, IdentityCase,
                                 IndeterminateRHS, SweepBounds, eval_identity,
                                 verify_all, verify_identity)
@@ -237,6 +237,32 @@ def test_transform_ids_to_n_200_within_limit(cold):
     assert all(r.cases for r in reports)
     assert [r.failures for r in reports if r.failures] == []
     assert elapsed < 5, f"the transform ids to n_max=200 took {elapsed:.1f}s"
+
+
+def _sweep_each(sweep, ids, cold_each=False):
+    """{id: (id, cases, failures, notes)} of `sweep(id)` for the ids in the
+    order given, from cold tables, and cold again before each id when
+    `cold_each`."""
+    clear_memos()
+    reports = {}
+    for id in ids:
+        if cold_each:
+            clear_memos()
+        report = sweep(id)
+        reports[id] = (id, report.cases, report.failures, report.notes)
+    return reports
+
+
+@pytest.mark.slow
+def test_sweeps_are_path_independent(cold):
+    # the tables an id reads were grown along the path of the ids before
+    # it; its report must not depend on that path, in either catalog
+    bounds = SweepBounds(n_max=200)
+    for ids, sweep in ((IDENTITY_IDS, lambda id: verify_all(bounds, [id])[0]),
+                       (CONGRUENCE_IDS, lambda id: prime_sweep([id], 1009))):
+        in_order = _sweep_each(sweep, ids)
+        assert _sweep_each(sweep, ids[::-1]) == in_order
+        assert _sweep_each(sweep, ids, cold_each=True) == in_order
 
 
 def test_disjoint_routes_spot():
